@@ -190,11 +190,54 @@ let test_wire_ctx =
          | Ok v -> ignore (Sys.opaque_identity v)
          | Error _ -> assert false))
 
+let toeplitz_tuple = Bytes.init 12 (fun i -> Char.chr (i * 17 land 0xff))
+
+(* The bit-serial reference, kept as a row to show what the tables buy. *)
 let test_toeplitz =
-  let tuple = Bytes.init 12 (fun i -> Char.chr (i * 17 land 0xff)) in
   Test.make ~name:"toeplitz hash (12B tuple)"
     (Staged.stage (fun () ->
-         ignore (Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key tuple)))
+         ignore
+           (Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key toeplitz_tuple)))
+
+let test_toeplitz_table =
+  Test.make ~name:"toeplitz table (12B tuple)"
+    (Staged.stage (fun () ->
+         ignore (Sys.opaque_identity (Nic.Rss.hash_sub toeplitz_tuple 12))))
+
+(* The DMA NIC's IOMMU pattern: 8 receive rings of 2 KiB buffers, at
+   the NIC's own IOVAs, filled round-robin through a 64-entry IOTLB.
+   Each ring advances to a new 4 KiB page every second buffer, so about
+   half the accesses miss and evict. The cursor persists across runs, so
+   every run continues the walk. *)
+let iommu_rings = 8
+let iommu_ring_slots = 1024
+let iommu_buf = 2048
+let iommu_base q = (q + 1) * 0x1000_0000
+
+let iommu_walk =
+  let mmu = Nic.Iommu.create () in
+  for q = 0 to iommu_rings - 1 do
+    Nic.Iommu.map mmu ~iova:(iommu_base q) ~len:(iommu_ring_slots * iommu_buf)
+  done;
+  mmu
+
+let iommu_cursor = ref 0
+
+let test_iommu_ring_walk =
+  Test.make ~name:"iommu translate ring walk x64"
+    (Staged.stage (fun () ->
+         let acc = ref 0 in
+         for _ = 1 to 64 do
+           let i = !iommu_cursor in
+           let q = i mod iommu_rings
+           and slot = i / iommu_rings mod iommu_ring_slots in
+           acc :=
+             !acc
+             + Nic.Iommu.translate iommu_walk
+                 ~iova:(iommu_base q + (slot * iommu_buf));
+           iommu_cursor := i + 1
+         done;
+         ignore (Sys.opaque_identity !acc)))
 
 let test_ctrl_line =
   let msg =
@@ -410,6 +453,8 @@ let tests =
     test_wire_noctx;
     test_wire_ctx;
     test_toeplitz;
+    test_toeplitz_table;
+    test_iommu_ring_walk;
     test_ctrl_line;
     test_frame;
     test_pooled_frame;

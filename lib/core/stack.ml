@@ -207,6 +207,15 @@ let respond_line t w ~rpc_id ~status ~body =
     (Endpoint.ctrl_line w.wep w.cpu_idx)
     (Message.encode_response ~line_bytes:(line_bytes t) resp)
 
+(* The identity of a stack with no configured address: the default
+   server that [Harness.Traffic] addresses. *)
+let default_self =
+  {
+    Net.Frame.mac = Harness.Traffic.server_mac;
+    ip = Harness.Traffic.server_ip;
+    port = 0;
+  }
+
 let rec worker_loop t sv w () = park_worker t sv w
 
 and park_worker t sv w =
@@ -299,12 +308,7 @@ and worker_handle t sv w (r : Message.request) =
 and self_address t =
   match t.address with
   | Some a -> a
-  | None ->
-      {
-        Net.Frame.mac = Net.Mac_addr.of_string "02:00:00:00:00:01";
-        ip = Net.Ip_addr.of_string "10.0.0.1";
-        port = 0;
-      }
+  | None -> default_self
 
 (* Assemble a nested-request frame and emit it: hairpin through our own
    MAC for local services, out the egress (the wire) for remote ones. *)

@@ -1,17 +1,16 @@
+let client_base_ip = Net.Ip_addr.to_int (Net.Ip_addr.of_string "10.0.1.1")
+let server_mac = Net.Mac_addr.of_string "02:00:00:00:00:01"
+let server_ip = Net.Ip_addr.of_string "10.0.0.1"
+
 let client_endpoint ?(idx = 0) () =
   {
     Net.Frame.mac =
       Net.Mac_addr.of_int64 (Int64.of_int (0x02_00_00_00_00_10 + idx));
-    ip = Net.Ip_addr.of_int (Net.Ip_addr.to_int (Net.Ip_addr.of_string "10.0.1.1") + idx);
+    ip = Net.Ip_addr.of_int (client_base_ip + idx);
     port = 40_000 + (idx mod 20_000);
   }
 
-let server_endpoint ~port =
-  {
-    Net.Frame.mac = Net.Mac_addr.of_string "02:00:00:00:00:01";
-    ip = Net.Ip_addr.of_string "10.0.0.1";
-    port;
-  }
+let server_endpoint ~port = { Net.Frame.mac = server_mac; ip = server_ip; port }
 
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
   let client =

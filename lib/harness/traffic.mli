@@ -1,5 +1,12 @@
 (** Frame construction for simulated clients. *)
 
+val server_mac : Net.Mac_addr.t
+(** [02:00:00:00:00:01]: the default server's MAC. *)
+
+val server_ip : Net.Ip_addr.t
+(** [10.0.0.1]: the default server's IP. A stack with no configured
+    address uses this identity and {!server_mac} as its own. *)
+
 val client_endpoint : ?idx:int -> unit -> Net.Frame.endpoint
 (** A synthetic client NIC identity ([idx] varies MAC/IP/port). *)
 

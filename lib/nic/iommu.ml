@@ -1,10 +1,25 @@
+(* Mapped-page set: int keys hashed and compared directly, with no call
+   into the polymorphic hash or compare. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
 type t = {
   iotlb_entries : int;
   hit_cost : Sim.Units.duration;
   walk_cost : Sim.Units.duration;
   page_size : int;
-  mapped : (int, unit) Hashtbl.t;  (* page number -> mapped *)
-  iotlb : (int, int) Hashtbl.t;  (* page number -> last-use stamp *)
+  mapped : unit Pages.t;  (* mapped page numbers *)
+  (* IOTLB slots [0, used): cached page number and its last-use stamp *)
+  tlb_pages : int array;
+  tlb_stamps : int array;
+  mutable used : int;
+  (* the two non-fault answers of [translate_opt], allocated once *)
+  hit_answer : Sim.Units.duration option;
+  miss_answer : Sim.Units.duration option;
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
@@ -20,8 +35,12 @@ let create ?(iotlb_entries = 64) ?(hit_cost = 20) ?(walk_cost = 250)
     hit_cost;
     walk_cost;
     page_size;
-    mapped = Hashtbl.create 256;
-    iotlb = Hashtbl.create 64;
+    mapped = Pages.create 256;
+    tlb_pages = Array.make iotlb_entries 0;
+    tlb_stamps = Array.make iotlb_entries 0;
+    used = 0;
+    hit_answer = Some hit_cost;
+    miss_answer = Some (walk_cost + hit_cost);
     stamp = 0;
     hits = 0;
     misses = 0;
@@ -33,56 +52,85 @@ let pages t ~iova ~len =
   let first = iova / t.page_size and last = (iova + len - 1) / t.page_size in
   List.init (last - first + 1) (fun i -> first + i)
 
+(* Slot in [i, used) caching [page], or -1. *)
+let rec find_slot t page i =
+  if i >= t.used then -1
+  else if t.tlb_pages.(i) = page then i
+  else find_slot t page (i + 1)
+
 let map t ~iova ~len =
-  List.iter (fun p -> Hashtbl.replace t.mapped p ()) (pages t ~iova ~len)
+  List.iter (fun p -> Pages.replace t.mapped p ()) (pages t ~iova ~len)
 
 let unmap t ~iova ~len =
   List.iter
     (fun p ->
-      Hashtbl.remove t.mapped p;
-      Hashtbl.remove t.iotlb p)
+      Pages.remove t.mapped p;
+      let slot = find_slot t p 0 in
+      if slot >= 0 then begin
+        (* the last live slot fills the hole; slot order carries no
+           meaning, only the stamps do *)
+        let last = t.used - 1 in
+        t.tlb_pages.(slot) <- t.tlb_pages.(last);
+        t.tlb_stamps.(slot) <- t.tlb_stamps.(last);
+        t.used <- last
+      end)
     (pages t ~iova ~len)
 
-let evict_lru t =
-  if Hashtbl.length t.iotlb >= t.iotlb_entries then begin
-    let oldest =
-      Hashtbl.fold
-        (fun p stamp acc ->
-          match acc with
-          | Some (_, s) when s <= stamp -> acc
-          | Some _ | None -> Some (p, stamp))
-        t.iotlb None
-    in
-    match oldest with
-    | Some (p, _) -> Hashtbl.remove t.iotlb p
-    | None -> ()
+(* Slot for a page that missed: a free one, else the least recently
+   used. Stamps are unique, so the victim is the same one an exact LRU
+   over any container would pick. *)
+let victim_slot t =
+  if t.used < t.iotlb_entries then begin
+    let slot = t.used in
+    t.used <- slot + 1;
+    slot
+  end
+  else begin
+    let best = ref 0 in
+    for i = 1 to t.used - 1 do
+      if t.tlb_stamps.(i) < t.tlb_stamps.(!best) then best := i
+    done;
+    !best
   end
 
-let translate_opt t ~iova =
+(* One access: updates the IOTLB and the counters and says which of
+   the three outcomes it was. *)
+type outcome = Fault | Hit | Miss
+
+let[@hot_path] access t ~iova =
   let page = iova / t.page_size in
-  if not (Hashtbl.mem t.mapped page) then begin
+  if not (Pages.mem t.mapped page) then begin
     t.faults <- t.faults + 1;
-    None
+    Fault
   end
   else begin
     t.stamp <- t.stamp + 1;
-    if Hashtbl.mem t.iotlb page then begin
+    let slot = find_slot t page 0 in
+    if slot >= 0 then begin
       t.hits <- t.hits + 1;
-      Hashtbl.replace t.iotlb page t.stamp;
-      Some t.hit_cost
+      t.tlb_stamps.(slot) <- t.stamp;
+      Hit
     end
     else begin
       t.misses <- t.misses + 1;
-      evict_lru t;
-      Hashtbl.replace t.iotlb page t.stamp;
-      Some (t.walk_cost + t.hit_cost)
+      let slot = victim_slot t in
+      t.tlb_pages.(slot) <- page;
+      t.tlb_stamps.(slot) <- t.stamp;
+      Miss
     end
   end
 
-let translate t ~iova =
-  match translate_opt t ~iova with
-  | Some cost -> cost
-  | None ->
+let[@hot_path] translate_opt t ~iova =
+  match access t ~iova with
+  | Hit -> t.hit_answer
+  | Miss -> t.miss_answer
+  | Fault -> None
+
+let[@hot_path] translate t ~iova =
+  match access t ~iova with
+  | Hit -> t.hit_cost
+  | Miss -> t.walk_cost + t.hit_cost
+  | Fault ->
       invalid_arg (Printf.sprintf "Iommu.translate: DMA fault at 0x%x" iova)
 
 let hits t = t.hits

@@ -4,7 +4,18 @@
     translate its target address, hitting a small IOTLB or paying a
     multi-level page-table walk. The paper (§3) notes the IOMMU's dual
     role — data-path translation vs. trust boundary; this model prices
-    the data-path role for the DMA baselines. *)
+    the data-path role for the DMA baselines.
+
+    {b IOTLB.} An exact LRU over two [iotlb_entries]-sized int arrays
+    (cached page, last-use stamp) and a count of slots in use. A hit is
+    a linear scan of the used slots; a miss takes a free slot or evicts
+    the slot with the smallest stamp. Every non-faulting access takes a
+    fresh, unique stamp, so the victim is always the least recently
+    used page and the hit/miss sequence equals that of any exact LRU.
+    {!unmap} drops cached pages by moving the last used slot into the
+    hole. {!translate} and {!translate_opt} allocate nothing: the two
+    non-fault answers of [translate_opt] are allocated once, in
+    {!create}. *)
 
 type t
 

@@ -58,28 +58,26 @@ let field_value (f : Net.Frame.t) = function
       let p = f.Net.Frame.payload in
       if i >= 0 && i < Bytes.length p then Char.code (Bytes.get p i) else 0
 
-let matches frame guard =
-  List.for_all
-    (fun { field; lo; hi } ->
+let[@hot_path] rec matches frame guard =
+  match guard with
+  | [] -> true
+  | { field; lo; hi } :: rest ->
       let v = field_value frame field in
-      lo <= v && v <= hi)
-    guard
+      lo <= v && v <= hi && matches frame rest
 
 (* Gather the key fields of a Hash_lane into [scratch] (big-endian per
    field, fields in declaration order) and return the byte count. *)
-let gather_key frame key scratch =
-  let off = ref 0 in
-  List.iter
-    (fun field ->
+let[@hot_path] rec gather_key frame key scratch off =
+  match key with
+  | [] -> off
+  | field :: rest ->
       let v = field_value frame field in
       let w = field_width field in
       for i = 0 to w - 1 do
-        Bytes.set scratch (!off + i)
+        Bytes.set scratch (off + i)
           (Char.chr ((v lsr (8 * (w - 1 - i))) land 0xff))
       done;
-      off := !off + w)
-    key;
-  !off
+      gather_key frame rest scratch (off + w)
 
 let key_width key = List.fold_left (fun a f -> a + field_width f) 0 key
 
@@ -87,8 +85,8 @@ let rec resolve ~rss ~alive ~worker_lane ~on_dead ~scratch frame = function
   | Queue q -> q
   | Rss -> rss frame
   | Hash_lane { key; lanes; base } ->
-      let n = gather_key frame key scratch in
-      base + (Rss.hash (Bytes.sub scratch 0 n) mod lanes)
+      let n = gather_key frame key scratch 0 in
+      base + (Rss.hash_sub scratch n mod lanes)
   | Worker w ->
       if alive w then worker_lane w
       else (
@@ -123,21 +121,23 @@ let eval ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t frame =
   in
   resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame target
 
+(* Target of the first rule from [i] whose guard the frame satisfies,
+   else the program's default. *)
+let[@hot_path] rec first_target t rules frame i =
+  if i >= Array.length rules then
+    match t.default with
+    | Some d -> d
+    | None ->
+        failwith (Printf.sprintf "Steer: %s: packet matched no rule" t.name)
+  else if matches frame rules.(i).guard then rules.(i).target
+  else first_target t rules frame (i + 1)
+
 let compile ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t =
   let scratch = Bytes.create (max 1 (max_key_width t)) in
   let rules = Array.of_list t.rules in
   fun frame ->
-    let rec first i =
-      if i >= Array.length rules then
-        match t.default with
-        | Some d -> d
-        | None ->
-            failwith
-              (Printf.sprintf "Steer: %s: packet matched no rule" t.name)
-      else if matches frame rules.(i).guard then rules.(i).target
-      else first (i + 1)
-    in
-    resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame (first 0)
+    resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame
+      (first_target t rules frame 0)
 
 (* --- shipped programs ------------------------------------------------ *)
 

@@ -99,6 +99,110 @@ let test_iommu_unmap () =
   checkb "other page survives" true
     (Nic.Iommu.translate_opt mmu ~iova:4096 <> None)
 
+(* Reference model: the IOTLB as a most-recent-first list, evicting
+   the list's tail. Obviously an exact LRU; the array IOTLB must agree
+   with it on every access. *)
+type iotlb_model = {
+  cap : int;
+  mutable mapped_pages : int list;
+  mutable lru : int list;  (* most recently used first *)
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_faults : int;
+}
+
+let model_translate m ~hit ~walk page =
+  if not (List.mem page m.mapped_pages) then begin
+    m.m_faults <- m.m_faults + 1;
+    None
+  end
+  else if List.mem page m.lru then begin
+    m.m_hits <- m.m_hits + 1;
+    m.lru <- page :: List.filter (fun p -> p <> page) m.lru;
+    Some hit
+  end
+  else begin
+    m.m_misses <- m.m_misses + 1;
+    let kept =
+      if List.length m.lru >= m.cap then
+        List.filteri (fun i _ -> i < m.cap - 1) m.lru
+      else m.lru
+    in
+    m.lru <- page :: kept;
+    Some (walk + hit)
+  end
+
+type iommu_op = Map of int * int | Unmap of int * int | Access of int * int
+
+let iommu_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map2 (fun p n -> Map (p, n)) (int_bound 11) (int_range 1 3));
+        (1, map2 (fun p n -> Unmap (p, n)) (int_bound 11) (int_range 1 2));
+        (8, map2 (fun p off -> Access (p, off)) (int_bound 11) (int_bound 4095));
+      ])
+
+let pp_iommu_op = function
+  | Map (p, n) -> Printf.sprintf "map %d+%d" p n
+  | Unmap (p, n) -> Printf.sprintf "unmap %d+%d" p n
+  | Access (p, off) -> Printf.sprintf "access %d:%d" p off
+
+let iommu_matches_lru_model =
+  let hit = 10 and walk = 100 and page = 4096 in
+  QCheck.Test.make ~name:"array IOTLB = list LRU model" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "entries=%d [%s]" cap
+           (String.concat "; " (List.map pp_iommu_op ops)))
+       QCheck.Gen.(pair (int_range 1 6) (list_size (int_bound 200) iommu_op_gen)))
+    (fun (cap, ops) ->
+      let mmu =
+        Nic.Iommu.create ~iotlb_entries:cap ~hit_cost:hit ~walk_cost:walk ()
+      in
+      let m =
+        { cap; mapped_pages = []; lru = []; m_hits = 0; m_misses = 0;
+          m_faults = 0 }
+      in
+      let pages p n = List.init n (fun i -> p + i) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Map (p, n) ->
+              Nic.Iommu.map mmu ~iova:(p * page) ~len:(n * page);
+              m.mapped_pages <-
+                List.filter (fun q -> not (List.mem q m.mapped_pages)) (pages p n)
+                @ m.mapped_pages;
+              true
+          | Unmap (p, n) ->
+              Nic.Iommu.unmap mmu ~iova:(p * page) ~len:(n * page);
+              let gone q = List.mem q (pages p n) in
+              m.mapped_pages <- List.filter (fun q -> not (gone q)) m.mapped_pages;
+              m.lru <- List.filter (fun q -> not (gone q)) m.lru;
+              true
+          | Access (p, off) ->
+              Nic.Iommu.translate_opt mmu ~iova:((p * page) + off)
+              = model_translate m ~hit ~walk p)
+          && Nic.Iommu.hits mmu = m.m_hits
+          && Nic.Iommu.misses mmu = m.m_misses
+          && Nic.Iommu.faults mmu = m.m_faults)
+        ops)
+
+let test_iommu_single_entry_unmap () =
+  (* one-entry IOTLB: unmapping the cached page frees the slot, and a
+     remapped page walks again *)
+  let mmu = Nic.Iommu.create ~iotlb_entries:1 ~hit_cost:10 ~walk_cost:100 () in
+  Nic.Iommu.map mmu ~iova:0 ~len:8192;
+  checki "walk" 110 (Nic.Iommu.translate mmu ~iova:0);
+  checki "hit" 10 (Nic.Iommu.translate mmu ~iova:100);
+  checki "other page evicts" 110 (Nic.Iommu.translate mmu ~iova:4096);
+  Nic.Iommu.unmap mmu ~iova:4096 ~len:4096;
+  Nic.Iommu.map mmu ~iova:4096 ~len:4096;
+  checki "remapped page walks" 110 (Nic.Iommu.translate mmu ~iova:4096);
+  checki "then hits" 10 (Nic.Iommu.translate mmu ~iova:4096);
+  checki "hits" 2 (Nic.Iommu.hits mmu);
+  checki "misses" 3 (Nic.Iommu.misses mmu)
+
 (* ---------- RSS ---------- *)
 
 let flow i =
@@ -137,6 +241,125 @@ let test_rss_key_dependence () =
 let test_toeplitz_zero_input () =
   checki "zero input hashes to 0" 0
     (Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key (Bytes.make 12 '\000'))
+
+(* Microsoft's RSS verification suite, IPv4 under the default key:
+   (src, src port, dst, dst port, hash of the 8 B address pair, hash of
+   the 12 B tuple with ports). *)
+let rss_vectors =
+  [
+    ("66.9.149.187", 2794, "161.142.100.80", 1766, 0x323e8fc2, 0x51ccc178);
+    ("199.92.111.2", 14230, "65.69.140.83", 4739, 0xd718262a, 0xc626b0ea);
+    ("24.19.198.95", 12898, "12.22.207.184", 38024, 0xd2d0a5de, 0x5c2b394a);
+    ("38.27.205.30", 48228, "209.142.163.6", 2217, 0x82989176, 0xafc7327f);
+    ("153.39.163.191", 44251, "202.188.127.2", 1303, 0x5d1809c5, 0x10e828a2);
+  ]
+
+let test_rss_known_answers () =
+  let rss = Nic.Rss.create ~queues:8 () in
+  List.iter
+    (fun (src, sp, dst, dp, h_ip, h_tuple) ->
+      let src_ip = Net.Ip_addr.of_string src
+      and dst_ip = Net.Ip_addr.of_string dst in
+      let b = Bytes.create 12 in
+      Bytes.set_int32_be b 0 (Int32.of_int (Net.Ip_addr.to_int src_ip));
+      Bytes.set_int32_be b 4 (Int32.of_int (Net.Ip_addr.to_int dst_ip));
+      Bytes.set_uint16_be b 8 sp;
+      Bytes.set_uint16_be b 10 dp;
+      let name what = Printf.sprintf "%s:%d -> %s:%d %s" src sp dst dp what in
+      let reference b = Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key b in
+      checki (name "reference, ip") h_ip (reference (Bytes.sub b 0 8));
+      checki (name "reference, tuple") h_tuple (reference b);
+      checki (name "table, ip") h_ip (Nic.Rss.hash_sub b 8);
+      checki (name "table, tuple") h_tuple (Nic.Rss.hash b);
+      checki (name "hash_flow") h_tuple
+        (Nic.Rss.hash_flow rss ~src_ip ~dst_ip ~src_port:sp ~dst_port:dp))
+    rss_vectors
+
+let bytes_gen ~lo ~hi =
+  QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (int_range lo hi)))
+
+let rss_table_matches_reference =
+  QCheck.Test.make ~name:"table hash = bit-serial Toeplitz, any key"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (k, d) ->
+         Printf.sprintf "key %S data %S" (Bytes.to_string k) (Bytes.to_string d))
+       QCheck.Gen.(pair (bytes_gen ~lo:40 ~hi:56) (bytes_gen ~lo:0 ~hi:64)))
+    (fun (key, data) ->
+      let key = Bytes.to_string key in
+      let t = Nic.Rss.create ~key ~queues:1 () in
+      Nic.Rss.hash_bytes t data = Nic.Rss.toeplitz_hash ~key data)
+
+let rss_hash_sub_is_sub =
+  QCheck.Test.make ~name:"hash_sub b n = hash (Bytes.sub b 0 n)" ~count:500
+    (QCheck.make
+       ~print:(fun (b, n) -> Printf.sprintf "%S, %d" (Bytes.to_string b) n)
+       QCheck.Gen.(
+         bytes_gen ~lo:0 ~hi:64 >>= fun b ->
+         map (fun n -> (b, n)) (int_bound (Bytes.length b))))
+    (fun (b, n) -> Nic.Rss.hash_sub b n = Nic.Rss.hash (Bytes.sub b 0 n))
+
+(* Bytes allocated by [n] calls of [f], with a minor collection at both
+   ends so the count is exact rather than quantised to minor-heap
+   segments. *)
+let allocated_bytes n f =
+  for _ = 1 to 100 do f () done (* warm-up *);
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to n do f () done;
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+let test_per_frame_path_allocates_nothing () =
+  let n = 10_000 in
+  (* the smallest heap block is 16 B, so n calls that allocated at all
+     would show at least 16 n bytes; the slack of under a byte per call
+     only covers the measurement's own boxed floats *)
+  let slack = float_of_int n /. 10. in
+  let check_zero what f =
+    let bytes = allocated_bytes n f in
+    checkb
+      (Printf.sprintf "%s: %.0f bytes over %d calls" what bytes n)
+      true (bytes <= slack)
+  in
+  let rss = Nic.Rss.create ~queues:8 () in
+  let ep last =
+    {
+      Net.Frame.mac = Net.Mac_addr.of_int64 (Int64.of_int last);
+      ip = Net.Ip_addr.of_int (0x0a000000 + last);
+      port = 1000 + last;
+    }
+  in
+  let frame = Net.Frame.make ~src:(ep 1) ~dst:(ep 2) (Bytes.make 64 'p') in
+  let sink = ref 0 in
+  check_zero "Rss.queue_of_frame" (fun () ->
+      sink := !sink + Nic.Rss.queue_of_frame rss frame);
+  let key = Bytes.make 12 'k' in
+  check_zero "Rss.hash_sub" (fun () -> sink := !sink + Nic.Rss.hash_sub key 12);
+  List.iter
+    (fun (what, prog) ->
+      let decide = Nic.Steer.compile ~rss:(Nic.Rss.queue_of_frame rss) prog in
+      check_zero what (fun () -> sink := !sink + decide frame))
+    [
+      ("compiled rss_all", Nic.Steer.rss_all);
+      ( "compiled key_affinity",
+        Nic.Steer.key_affinity ~key_off:0 ~key_len:4 ~lanes:8 () );
+    ];
+  let mmu = Nic.Iommu.create ~iotlb_entries:4 () in
+  Nic.Iommu.map mmu ~iova:0 ~len:(16 * 4096);
+  (* a ring walk over 16 pages through a 4-entry IOTLB: hits and misses *)
+  let i = ref 0 in
+  check_zero "Iommu.translate" (fun () ->
+      sink := !sink + Nic.Iommu.translate mmu ~iova:(!i * 2048 mod (16 * 4096));
+      incr i);
+  check_zero "Iommu.translate_opt" (fun () ->
+      (match Nic.Iommu.translate_opt mmu ~iova:(!i * 2048 mod (16 * 4096)) with
+      | Some c -> sink := !sink + c
+      | None -> ());
+      incr i);
+  checkb "IOTLB both hit and missed" true
+    (Nic.Iommu.hits mmu > 0 && Nic.Iommu.misses mmu > 0);
+  ignore (Sys.opaque_identity !sink)
 
 (* ---------- MSI-X ---------- *)
 
@@ -329,7 +552,10 @@ let () =
           Alcotest.test_case "hit/miss/fault" `Quick test_iommu_hit_miss_fault;
           Alcotest.test_case "lru eviction" `Quick test_iommu_lru_eviction;
           Alcotest.test_case "unmap" `Quick test_iommu_unmap;
-        ] );
+          Alcotest.test_case "single entry + unmap" `Quick
+            test_iommu_single_entry_unmap;
+        ]
+        @ qsuite [ iommu_matches_lru_model ] );
       ( "rss",
         [
           Alcotest.test_case "deterministic" `Quick test_rss_deterministic;
@@ -337,7 +563,11 @@ let () =
           Alcotest.test_case "key dependence" `Quick test_rss_key_dependence;
           Alcotest.test_case "toeplitz zero input" `Quick
             test_toeplitz_zero_input;
-        ] );
+          Alcotest.test_case "known answers" `Quick test_rss_known_answers;
+          Alcotest.test_case "per-frame path allocates nothing" `Quick
+            test_per_frame_path_allocates_nothing;
+        ]
+        @ qsuite [ rss_table_matches_reference; rss_hash_sub_is_sub ] );
       ( "msix",
         [
           Alcotest.test_case "moderation" `Quick
