@@ -93,6 +93,33 @@ let test_engine_direct_stepping =
          periodic_chain e;
          Sim.Engine.run e ~until:100_000))
 
+(* Hold model at a steady queue size: each run schedules one event at a
+   pseudo-random delay of 1..2000 ns and fires the earliest, so the
+   pending count stays at [pending]. The perfbench workloads average
+   15-18 live entries at a push (host-mix, nic-steer) and about 310
+   (rack-sharded); the x1000 row above fills the heap and then drains
+   it. *)
+let engine_hold pending =
+  let e = Sim.Engine.create () in
+  let noop () = () in
+  let x = ref 12345 in
+  let delay () =
+    x := ((!x * 1103515245) + 12345) land 0x3fff_ffff;
+    1 + ((!x lsr 8) mod 2000)
+  in
+  for _ = 1 to pending do
+    ignore (Sim.Engine.schedule_after e ~after:(delay ()) noop)
+  done;
+  fun () ->
+    ignore (Sim.Engine.schedule_after e ~after:(delay ()) noop);
+    ignore (Sim.Engine.step e)
+
+let test_engine_hold_20 =
+  Test.make ~name:"engine hold (pending 20)" (Staged.stage (engine_hold 20))
+
+let test_engine_hold_300 =
+  Test.make ~name:"engine hold (pending 300)" (Staged.stage (engine_hold 300))
+
 let test_sharded_stepping =
   Test.make ~name:"engine run 1000 events (sharded windows)"
     (Staged.stage (fun () ->
@@ -445,6 +472,8 @@ let tests =
     test_timer_churn_heap;
     test_timer_churn_wheel;
     test_engine_direct_stepping;
+    test_engine_hold_20;
+    test_engine_hold_300;
     test_sharded_stepping;
     test_sharded_stepping_profiled;
     test_checksum;

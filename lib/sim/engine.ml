@@ -29,34 +29,49 @@ let[@hot_path] schedule_after t ~after f =
 
 let[@hot_path] cancel t h = Scheduler.cancel t.queue h
 let pending t = Scheduler.live_count t.queue
-let next_event_time t = Scheduler.peek_time t.queue
+let[@hot_path] min_time t = Scheduler.min_time t.queue
+
+(* Fire the earliest event, whose timestamp [time] the caller has just
+   read with [Scheduler.min_time]. *)
+let[@hot_path] [@inline] fire t time =
+  let f = Scheduler.pop_min t.queue in
+  (match t.monitor with None -> () | Some m -> m time);
+  t.clock <- time;
+  t.fired <- t.fired + 1;
+  f ()
+
+(* [min_time] answers [max_int] for an empty queue; [is_empty] tells
+   that apart from an event scheduled at [max_int]. *)
+let[@hot_path] [@inline] has_event t time =
+  time < max_int || not (Scheduler.is_empty t.queue)
 
 let[@hot_path] step t =
-  match Scheduler.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      (match t.monitor with None -> () | Some m -> m time);
-      t.clock <- time;
-      t.fired <- t.fired + 1;
-      f ();
-      true
+  let time = Scheduler.min_time t.queue in
+  if has_event t time then begin
+    fire t time;
+    true
+  end
+  else false
 
-let run ?until t =
-  let continue () =
-    match until with
-    | None -> true
-    | Some limit -> (
-        match Scheduler.peek_time t.queue with
-        | None -> false
-        | Some next -> next <= limit)
-  in
-  while continue () && step t do
-    ()
+(* One [min_time] read per event serves both the horizon test and the
+   fire. *)
+let[@hot_path] run_until t limit =
+  let continue = ref true in
+  while !continue do
+    let time = Scheduler.min_time t.queue in
+    if time <= limit && has_event t time then fire t time
+    else continue := false
   done;
   (* Advance the clock to the horizon so that rate computations over
      [0, until] are well defined even if the queue drained early. *)
+  if t.clock < limit then t.clock <- limit
+
+let run ?until t =
   match until with
-  | Some limit when t.clock < limit -> t.clock <- limit
-  | Some _ | None -> ()
+  | None ->
+      while step t do
+        ()
+      done
+  | Some limit -> run_until t limit
 
 let events_processed t = t.fired

@@ -42,18 +42,23 @@ val cancel : t -> handle -> unit
 val pending : t -> int
 (** Number of scheduled events not yet fired or cancelled. *)
 
-val next_event_time : t -> Units.time option
-(** Timestamp of the earliest pending event, or [None] when the queue
-    is drained. The sharded engine uses this to compute the global
-    minimum next-event time that anchors each conservative window. *)
+val min_time : t -> Units.time
+(** Timestamp of the earliest pending event, or [max_int] when the
+    queue is drained; allocation-free on the heap backend. The sharded
+    engine uses this to compute the global minimum next-event time
+    that anchors each conservative window. *)
 
 val run : ?until:Units.time -> t -> unit
 (** Process events in time order until the queue drains, or until the
     first event strictly later than [until] (which stays queued and the
-    clock stops at [until]). *)
+    clock stops at [until]). On the default heap backend neither form
+    allocates: whatever a run allocates is the callbacks' own. *)
 
 val step : t -> bool
-(** Process exactly one event. Returns [false] if the queue was empty. *)
+(** Process exactly one event. Returns [false] if the queue was empty.
+    Reads the event through {!Scheduler.min_time} and
+    {!Scheduler.pop_min}, so a step allocates nothing on the heap
+    backend. *)
 
 val events_processed : t -> int
 (** Total callbacks fired so far (simulation-effort metric). *)
@@ -65,4 +70,4 @@ val set_monitor : t -> (Units.time -> unit) option -> unit
     prove the clock never moves backwards. *)
 
 val validate : t -> (unit, string) result
-(** Structural self-check of the event queue ({!Event_heap.validate}). *)
+(** Structural self-check of the event queue ({!Scheduler.validate}). *)

@@ -29,30 +29,37 @@ let create () =
 let is_empty t = t.live = 0
 let live_count t = t.live
 
-let[@hot_path] entry_lt a b = a.time < b.time || (Int.equal a.time b.time && a.seq < b.seq)
+let[@hot_path] [@inline] entry_lt a b =
+  a.time < b.time || (Int.equal a.time b.time && a.seq < b.seq)
 
-let[@hot_path] swap t i j =
-  let tmp = t.arr.(i) in
-  t.arr.(i) <- t.arr.(j);
-  t.arr.(j) <- tmp
-
-let[@hot_path] rec sift_up t i =
-  if i > 0 then begin
+(* Hole-based sifts: the moving entry [e] is held aside while a hole
+   travels through [arr], so each level costs one pointer store and [e]
+   is written once, at its final slot. [(time, seq)] is a strict total
+   order, so the layout matches a swap-based sift step for step. *)
+let[@hot_path] rec sift_up arr i e =
+  if i = 0 then arr.(0) <- e
+  else begin
     let parent = (i - 1) / 2 in
-    if entry_lt t.arr.(i) t.arr.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    let p = arr.(parent) in
+    if entry_lt e p then begin
+      arr.(i) <- p;
+      sift_up arr parent e
     end
+    else arr.(i) <- e
   end
 
-let[@hot_path] rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_lt t.arr.(l) t.arr.(!smallest) then smallest := l;
-  if r < t.size && entry_lt t.arr.(r) t.arr.(!smallest) then smallest := r;
-  if not (Int.equal !smallest i) then begin
-    swap t i !smallest;
-    sift_down t !smallest
+let[@hot_path] rec sift_down arr size i e =
+  let l = (2 * i) + 1 in
+  if l >= size then arr.(i) <- e
+  else begin
+    let r = l + 1 in
+    let c = if r < size && entry_lt arr.(r) arr.(l) then r else l in
+    let child = arr.(c) in
+    if entry_lt child e then begin
+      arr.(i) <- child;
+      sift_down arr size c e
+    end
+    else arr.(i) <- e
   end
 
 let[@hot_path] push t ~time payload =
@@ -72,10 +79,10 @@ let[@hot_path] push t ~time payload =
     Array.blit t.arr 0 arr 0 t.size;
     t.arr <- arr
   end;
-  t.arr.(t.size) <- e;
-  t.size <- t.size + 1;
+  let i = t.size in
+  t.size <- i + 1;
   t.live <- t.live + 1;
-  sift_up t (t.size - 1);
+  sift_up t.arr i e;
   e
 
 (* In-place filter of cancelled entries followed by Floyd heapify:
@@ -96,7 +103,7 @@ let compact t =
   | None -> ());
   t.size <- !n;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down t.arr t.size i t.arr.(i)
   done
 
 let[@hot_path] cancel t h =
@@ -106,29 +113,53 @@ let[@hot_path] cancel t h =
     if t.size >= 64 && 2 * (t.size - t.live) > t.size then compact t
   end
 
+(* The last entry fills the root's hole by sifting down from slot 0;
+   its old slot takes the sentinel. *)
 let[@hot_path] pop_root t =
-  let e = t.arr.(0) in
-  t.size <- t.size - 1;
-  t.arr.(0) <- t.arr.(t.size);
-  (match t.sentinel with
-  | Some s -> t.arr.(t.size) <- s
-  | None -> ());
-  if t.size > 0 then sift_down t 0;
+  let arr = t.arr in
+  let e = arr.(0) in
+  let size = t.size - 1 in
+  t.size <- size;
+  let last = arr.(size) in
+  (match t.sentinel with Some s -> arr.(size) <- s | None -> ());
+  if size > 0 then sift_down arr size 0 last;
   e
 
-(* Discard cancelled entries as they surface; only live pops touch
-   [live]. A popped entry is marked cancelled so a later [cancel] on
-   its handle is a genuine no-op. *)
-let[@hot_path] rec pop t =
-  if t.size = 0 then None
+(* The allocation-free pair the engine drives. Cancelled entries are
+   discarded as they surface: [min_time] drops them from the root until
+   a live one heads the heap, so a [pop_min] right after it pops the
+   root directly. Only live pops touch [live]; a popped entry is marked
+   cancelled so a later [cancel] on its handle is a genuine no-op. *)
+let[@hot_path] rec min_time t =
+  if t.size = 0 then max_int
   else
-    let e = pop_root t in
-    if e.cancelled then pop t
-    else begin
-      e.cancelled <- true;
-      t.live <- t.live - 1;
-      Some ((e.time, e.payload) [@alloc_ok])
+    let e = t.arr.(0) in
+    if e.cancelled then begin
+      ignore (pop_root t);
+      min_time t
     end
+    else e.time
+
+let[@hot_path] rec pop_min t =
+  if t.size = 0 then invalid_arg "Event_heap.pop_min: empty heap";
+  let e = pop_root t in
+  if e.cancelled then pop_min t
+  else begin
+    e.cancelled <- true;
+    t.live <- t.live - 1;
+    e.payload
+  end
+
+(* The option-returning forms, for callers off the engine's path.
+   [min_time] first, so a heap holding only cancelled entries is
+   emptied exactly as the pop that finds nothing would. *)
+let peek_time t =
+  let time = min_time t in
+  if t.live = 0 then None else Some time
+
+let pop t =
+  let time = min_time t in
+  if t.live = 0 then None else Some (time, pop_min t)
 
 (* Structural self-check for sanitizer builds: the array prefix
    [0, size) must satisfy the heap order (parent not later than either
@@ -169,12 +200,3 @@ let validate t =
         else Ok ()
   end
 
-let[@hot_path] rec peek_time t =
-  if t.size = 0 then None
-  else
-    let e = t.arr.(0) in
-    if e.cancelled then begin
-      ignore (pop_root t);
-      peek_time t
-    end
-    else Some e.time

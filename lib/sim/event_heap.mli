@@ -9,7 +9,10 @@
 
     Entries are stored unboxed (no [option] wrapper); a push performs
     exactly one allocation, the entry itself, which doubles as the
-    cancellation handle. *)
+    cancellation handle. Sifts move a hole rather than swapping, so
+    each level of a push or pop costs one pointer store, and
+    {!min_time}/{!pop_min} read and remove the earliest entry without
+    allocating. *)
 
 type 'a t
 (** Heap carrying payloads of type ['a]. *)
@@ -39,6 +42,18 @@ val pop : 'a t -> (Units.time * 'a) option
 
 val peek_time : 'a t -> Units.time option
 (** Timestamp of the earliest live entry without removing it. *)
+
+val min_time : 'a t -> Units.time
+(** As {!peek_time} without the [option]: the earliest live timestamp,
+    or [max_int] when no live entry remains. Allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** As {!pop} without the [option] and the pair: remove the earliest
+    live entry and return its payload. Its timestamp is the
+    {!min_time} read just before. Allocates nothing.
+
+    @raise Invalid_argument when no live entry remains (callers check
+    {!is_empty} first). *)
 
 val validate : 'a t -> (unit, string) result
 (** Structural self-check: heap order over the stored prefix and

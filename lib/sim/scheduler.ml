@@ -66,6 +66,22 @@ let[@hot_path] peek_time t =
   | H h -> Event_heap.peek_time h
   | W w -> Timing_wheel.peek_time w
 
+(* The wheel has no allocation-free pop of its own; it answers through
+   its option-returning pair, so only the heap path is allocation-free. *)
+let[@hot_path] min_time t =
+  match t with
+  | H h -> Event_heap.min_time h
+  | W w -> (
+      match Timing_wheel.peek_time w with Some tm -> tm | None -> max_int)
+
+let[@hot_path] pop_min t =
+  match t with
+  | H h -> Event_heap.pop_min h
+  | W w -> (
+      match Timing_wheel.pop w with
+      | Some (_, payload) -> payload
+      | None -> invalid_arg "Scheduler.pop_min: empty queue")
+
 let validate = function
   | H h -> Event_heap.validate h
   | W w -> Timing_wheel.validate w

@@ -223,15 +223,15 @@ let merge t =
           ignore (Engine.schedule_at t.engines.(it.dst) ~at:it.at it.fn))
         arr
 
-let next_event_time t =
-  let best = ref (-1) in
-  Array.iter
-    (fun e ->
-      match Engine.next_event_time e with
-      | Some tm when !best < 0 || tm < !best -> best := tm
-      | Some _ | None -> ())
-    t.engines;
-  if !best < 0 then None else Some !best
+(* Earliest pending event across all shards, [max_int] when every
+   queue is drained; read once per window, without allocating. *)
+let min_time t =
+  let best = ref max_int in
+  for i = 0 to Array.length t.engines - 1 do
+    let tm = Engine.min_time t.engines.(i) in
+    if tm < !best then best := tm
+  done;
+  !best
 
 (* Run the shards owned by [worker] — indices ≡ worker (mod domains) —
    up to the current window end, in ascending shard order. *)
@@ -260,19 +260,17 @@ let run_owned t worker =
    up to [until] (all clocks advanced to the horizon). *)
 let plan_window t ~until =
   merge t;
-  match next_event_time t with
-  | Some a when a <= until ->
-      (* cap at the horizon: the run must not execute past [until] *)
-      let window_end = min (a + t.lookahead - 1) until in
-      t.window_end <- window_end;
-      t.windows <- t.windows + 1;
-      true
-  | Some _ | None ->
-      (* drained (or nothing left before the horizon): fill every
-         clock to the horizon, exactly like a plain [Engine.run] *)
-      t.window_end <- until;
-      t.windows <- t.windows + 1;
-      true
+  let a = min_time t in
+  t.window_end <-
+    (if a < max_int && a <= until then
+       (* cap at the horizon: the run must not execute past [until] *)
+       min (a + t.lookahead - 1) until
+     else
+       (* drained (or nothing left before the horizon): fill every
+          clock to the horizon, exactly like a plain [Engine.run] *)
+       until);
+  t.windows <- t.windows + 1;
+  true
 
 (* Completion check separate from [plan_window]: the final
    clock-filling window must still be executed by the workers. Events
@@ -281,7 +279,8 @@ let plan_window t ~until =
    nothing at or before [until] remains, in a queue or in flight. *)
 let complete t ~until =
   Array.for_all (fun e -> Engine.now e >= until) t.engines
-  && (match next_event_time t with None -> true | Some a -> a > until)
+  && (let a = min_time t in
+      Int.equal a max_int || a > until)
   && Array.for_all (fun l -> match l with [] -> true | _ :: _ -> false)
        t.outbox
 

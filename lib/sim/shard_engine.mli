@@ -92,10 +92,6 @@ val run : t -> until:Units.time -> unit
     [until] remains. Reusable: later calls continue from the current
     state with a later horizon. *)
 
-val next_event_time : t -> Units.time option
-(** Earliest pending event across all shards (delivered messages
-    only — posts still in flight to a barrier are invisible). *)
-
 val windows_run : t -> int
 (** Conservative windows executed so far (parallelism-efficiency
     metric: events per window is the available concurrency). *)

@@ -152,47 +152,75 @@ let test_heap_compaction_preserves_order () =
 
 (* Model-based property: the heap must agree, operation by operation,
    with a sorted-association-list reference under interleaved
-   push/pop/cancel — including cancels aimed at already-popped
-   handles. *)
+   push/cancel/pop/peek_time and the allocation-free
+   min_time/pop_min — including cancels aimed at already-popped
+   handles. Scripts start with 0..200 pushes; from 64 on, the mass
+   cancel (three handles in four) drives the heap through its
+   compaction path. [validate] must hold after every operation. *)
 let heap_matches_reference_model =
   QCheck.Test.make ~name:"heap agrees with sorted-list model" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 400) (pair (int_bound 3) small_nat))
-    (fun ops ->
+    QCheck.(
+      pair (int_bound 200)
+        (list_of_size (Gen.int_range 0 300) (pair (int_bound 7) small_nat)))
+    (fun (prefix, ops) ->
       let h = Sim.Event_heap.create () in
       let model = ref [] in
       let handles = ref [||] in
-      let nseq = ref 0 in
+      let push time =
+        let s = Array.length !handles in
+        handles := Array.append !handles [| Sim.Event_heap.push h ~time s |];
+        model := (time, s) :: !model
+      in
+      let remove s = model := List.filter (fun (_, s0) -> s0 <> s) !model in
+      let earliest () =
+        match List.sort compare !model with [] -> None | m :: _ -> Some m
+      in
       let ok = ref true in
+      let expect b = if not b then ok := false in
+      for i = 1 to prefix do
+        push ((i * 7919) mod 97)
+      done;
       List.iter
         (fun (op, v) ->
-          match op with
-          | 0 | 1 ->
-              let time = v in
-              let hd = Sim.Event_heap.push h ~time !nseq in
-              handles := Array.append !handles [| (!nseq, hd) |];
-              model := (time, !nseq) :: !model;
-              incr nseq
+          (match op with
+          | 0 | 1 -> push v
           | 2 -> (
-              let expected =
-                match List.sort compare !model with
-                | [] -> None
-                | (t, s) :: _ -> Some (t, s)
-              in
-              match (Sim.Event_heap.pop h, expected) with
+              match earliest () with
+              | None -> expect (Sim.Event_heap.min_time h = max_int)
+              | Some (t, _) -> expect (Sim.Event_heap.min_time h = t))
+          | 3 -> (
+              match earliest () with
+              | None -> expect (Sim.Event_heap.is_empty h)
+              | Some (t, s) ->
+                  expect (Sim.Event_heap.min_time h = t);
+                  expect (Sim.Event_heap.pop_min h = s);
+                  remove s)
+          | 4 -> (
+              match (Sim.Event_heap.pop h, earliest ()) with
               | None, None -> ()
-              | Some (t, s), Some (t', s') when t = t' && s = s' ->
-                  model := List.filter (fun (_, s0) -> s0 <> s) !model
+              | Some (t, s), Some m when (t, s) = m -> remove s
               | _ -> ok := false)
-          | _ ->
+          | 5 ->
+              expect
+                (Sim.Event_heap.peek_time h = Option.map fst (earliest ()))
+          | 6 ->
               if Array.length !handles > 0 then begin
-                let s, hd = !handles.(v mod Array.length !handles) in
-                Sim.Event_heap.cancel h hd;
-                model := List.filter (fun (_, s0) -> s0 <> s) !model
-              end)
+                let s = v mod Array.length !handles in
+                Sim.Event_heap.cancel h !handles.(s);
+                remove s
+              end
+          | _ ->
+              Array.iteri
+                (fun s hd ->
+                  if s mod 4 <> v mod 4 then begin
+                    Sim.Event_heap.cancel h hd;
+                    remove s
+                  end)
+                !handles);
+          expect (Result.is_ok (Sim.Event_heap.validate h));
+          expect (Sim.Event_heap.live_count h = List.length !model))
         ops;
-      !ok
-      && Sim.Event_heap.live_count h = List.length !model
-      && drain_times h = List.sort compare (List.map fst !model))
+      !ok && drain_times h = List.sort compare (List.map fst !model))
 
 (* ---------- Engine ---------- *)
 
@@ -295,17 +323,61 @@ let engine_until_cancel_consistent sched () =
   checki "only live event fired" 1 !fired;
   checki "pending empty after run" 0 (Sim.Engine.pending e)
 
+(* Minor-heap words allocated while [f] runs. [Gc.minor_words] is
+   exact (it counts the words of every block, not heap segments), so
+   the budget below is a literal zero. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The engine's own per-event cost is allocation-free on the heap
+   backend: 10k pre-scheduled events (a tenth of them cancelled) fired
+   through a callback that allocates nothing must cost 0 words, with
+   and without a horizon. The [until] option is built before the
+   measurement because wrapping it is the caller's allocation. *)
+let test_engine_run_allocates_nothing () =
+  let fired = ref 0 in
+  let tick () = incr fired in
+  let e = Sim.Engine.create ~sched:Sim.Scheduler.Heap () in
+  for i = 1 to 10_000 do
+    let h = Sim.Engine.schedule_at e ~at:((i * 7919) mod 5_000) tick in
+    if i mod 10 = 0 then Sim.Engine.cancel e h
+  done;
+  let until = Some 2_500 in
+  check (Alcotest.float 0.) "run ~until allocates nothing" 0.
+    (minor_words (fun () -> Sim.Engine.run ?until e));
+  checkb "horizon left later events queued" true (Sim.Engine.pending e > 0);
+  check (Alcotest.float 0.) "run to drain allocates nothing" 0.
+    (minor_words (fun () -> Sim.Engine.run e));
+  checki "every live event fired" 9_000 !fired;
+  let h = Sim.Event_heap.create () in
+  for i = 1 to 10_000 do
+    let hd = Sim.Event_heap.push h ~time:((i * 7919) mod 5_000) i in
+    if i mod 10 = 0 then Sim.Event_heap.cancel h hd
+  done;
+  let sum = ref 0 in
+  check (Alcotest.float 0.) "min_time/pop_min allocate nothing" 0.
+    (minor_words (fun () ->
+         while not (Sim.Event_heap.is_empty h) do
+           sum := !sum + Sim.Event_heap.min_time h + Sim.Event_heap.pop_min h
+         done));
+  checkb "drained" true (Sim.Event_heap.min_time h = max_int);
+  ignore (Sys.opaque_identity !sum)
+
 (* ---------- Timing wheel ---------- *)
 
-(* Drive the heap and wheel through the same schedule/cancel/pop script
-   and demand identical observable behaviour — the byte-identity
-   contract [LAUBERHORN_SCHED=wheel] relies on. *)
+(* Drive a heap-backed and a wheel-backed [Scheduler] through the same
+   schedule/cancel/pop script — through both the option-returning
+   [pop]/[peek_time] and the allocation-free [min_time]/[pop_min] — and
+   demand identical observable behaviour: the byte-identity contract
+   [LAUBERHORN_SCHED=wheel] relies on. *)
 let wheel_matches_heap =
   QCheck.Test.make ~name:"timing wheel agrees with event heap" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 400) (pair (int_bound 3) small_nat))
+    QCheck.(list_of_size (Gen.int_range 0 400) (pair (int_bound 5) small_nat))
     (fun ops ->
-      let h = Sim.Event_heap.create () in
-      let w = Sim.Timing_wheel.create () in
+      let h = Sim.Scheduler.create Sim.Scheduler.Heap in
+      let w = Sim.Scheduler.create Sim.Scheduler.Wheel in
       let hh = ref [||] and wh = ref [||] in
       let clock = ref 0 in
       let ok = ref true in
@@ -320,25 +392,42 @@ let wheel_matches_heap =
                 else 1 + ((v + 1) * 65_537)
               in
               let t = !clock + d in
-              hh := Array.append !hh [| Sim.Event_heap.push h ~time:t v |];
-              wh := Array.append !wh [| Sim.Timing_wheel.push w ~time:t v |]
+              hh := Array.append !hh [| Sim.Scheduler.push h ~time:t v |];
+              wh := Array.append !wh [| Sim.Scheduler.push w ~time:t v |]
           | 2 -> (
-              match (Sim.Event_heap.pop h, Sim.Timing_wheel.pop w) with
+              match (Sim.Scheduler.pop h, Sim.Scheduler.pop w) with
               | None, None -> ()
               | Some (t, x), Some (t', x') when t = t' && x = x' -> clock := t
               | _ -> ok := false)
-          | _ ->
+          | 3 ->
               if Array.length !hh > 0 then begin
                 let i = v mod Array.length !hh in
-                Sim.Event_heap.cancel h !hh.(i);
-                Sim.Timing_wheel.cancel w !wh.(i)
-              end)
+                Sim.Scheduler.cancel h !hh.(i);
+                Sim.Scheduler.cancel w !wh.(i)
+              end
+          | 4 ->
+              if Sim.Scheduler.min_time h <> Sim.Scheduler.min_time w
+                 || Sim.Scheduler.peek_time h <> Sim.Scheduler.peek_time w
+              then ok := false
+          | _ ->
+              let t = Sim.Scheduler.min_time h in
+              if Sim.Scheduler.is_empty h || Sim.Scheduler.is_empty w then
+                ok :=
+                  !ok && Sim.Scheduler.is_empty h && Sim.Scheduler.is_empty w
+                  && t = max_int
+                  && Sim.Scheduler.min_time w = max_int
+              else if
+                t = Sim.Scheduler.min_time w
+                && Sim.Scheduler.pop_min h = Sim.Scheduler.pop_min w
+              then clock := t
+              else ok := false)
         ops;
       !ok
-      && Sim.Event_heap.live_count h = Sim.Timing_wheel.live_count w
-      && Result.is_ok (Sim.Timing_wheel.validate w)
+      && Sim.Scheduler.live_count h = Sim.Scheduler.live_count w
+      && Result.is_ok (Sim.Scheduler.validate h)
+      && Result.is_ok (Sim.Scheduler.validate w)
       && (let rec drain () =
-            match (Sim.Event_heap.pop h, Sim.Timing_wheel.pop w) with
+            match (Sim.Scheduler.pop h, Sim.Scheduler.pop w) with
             | None, None -> true
             | Some (t, x), Some (t', x') when t = t' && x = x' -> drain ()
             | _ -> false
@@ -622,6 +711,8 @@ let () =
             (engine_until_cancel_consistent Sim.Scheduler.Heap);
           Alcotest.test_case "cancel-then-run pending (wheel)" `Quick
             (engine_until_cancel_consistent Sim.Scheduler.Wheel);
+          Alcotest.test_case "run allocates nothing" `Quick
+            test_engine_run_allocates_nothing;
         ] );
       ( "timing_wheel",
         [
