@@ -12,6 +12,11 @@
 open Bechamel
 open Toolkit
 
+let drain_heap h =
+  while not (Sim.Event_heap.is_empty h) do
+    ignore (Sim.Event_heap.pop_min h)
+  done
+
 let test_event_heap =
   Test.make ~name:"event_heap push+pop x1000"
     (Staged.stage (fun () ->
@@ -19,61 +24,24 @@ let test_event_heap =
          for i = 0 to 999 do
            ignore (Sim.Event_heap.push h ~time:((i * 7919) mod 1000) i)
          done;
-         let rec drain () =
-           match Sim.Event_heap.pop h with
-           | Some _ -> drain ()
-           | None -> ()
-         in
-         drain ()))
-
-(* Same schedule as the heap row, through the hierarchical timing
-   wheel: O(1) insert vs the heap's O(log n), identical pop order. *)
-let test_timing_wheel =
-  Test.make ~name:"timing_wheel push+pop x1000"
-    (Staged.stage (fun () ->
-         let w = Sim.Timing_wheel.create () in
-         for i = 0 to 999 do
-           ignore (Sim.Timing_wheel.push w ~time:((i * 7919) mod 1000) i)
-         done;
-         let rec drain () =
-           match Sim.Timing_wheel.pop w with
-           | Some _ -> drain ()
-           | None -> ()
-         in
-         drain ()))
+         drain_heap h))
 
 (* Timer-dominated workload: the retransmit-timer pattern where almost
    every armed timer is cancelled before it fires (ack arrives first).
-   8192 arms, half cancelled, half fire — through the [Scheduler]
-   dispatch layer, once per backend, so the rows are comparable. At
-   this population the heap pays O(log n) sift-downs to drain a queue
-   that is half dead weight; the wheel's O(1) insert and bucket-level
-   reclamation of cancelled entries is where it earns its row. *)
-let timer_churn kind () =
-  let s = Sim.Scheduler.create kind in
-  let handles = Array.make 8192 None in
-  for i = 0 to 8191 do
-    let h = Sim.Scheduler.push s ~time:(1 + ((i * 7919) mod 16_384)) i in
-    handles.(i) <- Some h
-  done;
-  for i = 0 to 8191 do
-    if i mod 2 = 0 then
-      match handles.(i) with
-      | Some h -> Sim.Scheduler.cancel s h
-      | None -> ()
-  done;
-  let rec drain () =
-    match Sim.Scheduler.pop s with Some _ -> drain () | None -> ()
-  in
-  drain ()
-
+   8192 arms, half cancelled, half fire, so the drain sifts through a
+   queue that is half dead weight. *)
 let test_timer_churn_heap =
   Test.make ~name:"timer arm+cancel x8192 (heap)"
-    (Staged.stage (timer_churn Sim.Scheduler.Heap))
-
-let test_timer_churn_wheel =
-  Test.make ~name:"timer arm+cancel x8192 (wheel)"
-    (Staged.stage (timer_churn Sim.Scheduler.Wheel))
+    (Staged.stage (fun () ->
+         let h = Sim.Event_heap.create () in
+         let handles =
+           Array.init 8192 (fun i ->
+               Sim.Event_heap.push h ~time:(1 + ((i * 7919) mod 16_384)) i)
+         in
+         Array.iteri
+           (fun i hd -> if i mod 2 = 0 then Sim.Event_heap.cancel h hd)
+           handles;
+         drain_heap h))
 
 (* Windowed (sharded) stepping tax: the same periodic event chain run
    directly on an engine, then through a 1-shard [Shard_engine] — the
@@ -468,9 +436,7 @@ let test_steer_affinity =
 let tests =
   [
     test_event_heap;
-    test_timing_wheel;
     test_timer_churn_heap;
-    test_timer_churn_wheel;
     test_engine_direct_stepping;
     test_engine_hold_20;
     test_engine_hold_300;

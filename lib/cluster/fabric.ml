@@ -41,7 +41,7 @@ let default_host_link =
 let default_uplink =
   { Switch.latency = Sim.Units.ns 500; tx = Sim.Units.ns 50 }
 
-let create ?domains ?sched ?(host_link = default_host_link)
+let create ?domains ?(host_link = default_host_link)
     ?(uplink = default_uplink) ?host_links ?cap_in ?cap_out ?fwd_delay
     ?metrics ~hosts () =
   if hosts < 1 then invalid_arg "Fabric.create: hosts < 1";
@@ -52,7 +52,7 @@ let create ?domains ?sched ?(host_link = default_host_link)
     | Some _ -> invalid_arg "Fabric.create: host_links size mismatch"
   in
   let n = hosts + 1 in
-  let engines = Array.init n (fun _ -> Sim.Engine.create ?sched ()) in
+  let engines = Array.init n (fun _ -> Sim.Engine.create ()) in
   let min_link =
     Array.fold_left
       (fun acc l -> min acc l.Switch.latency)

@@ -83,9 +83,9 @@ type rack = {
    emission happens on the owning shard (host tracers on host shards,
    the master tracer on master-shard events only), so arming changes no
    timing and breaks no determinism. *)
-let make_rack ?domains ?sched ?obs ?fault ?metrics ~hosts () =
+let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
   let fabric =
-    Cluster.Fabric.create ?domains ?sched ~host_link ~uplink ?metrics ~hosts ()
+    Cluster.Fabric.create ?domains ~host_link ~uplink ?metrics ~hosts ()
   in
   let master = Cluster.Fabric.master_engine fabric in
   let setup = Workload.Scenario.echo_fleet ~n:1 ~handler_time () in

@@ -47,6 +47,7 @@ val encode : t -> bytes
 (** [encode_into] a fresh exactly-sized buffer. *)
 
 type error =
+  | Truncated  (** shorter than an Ethernet header *)
   | Not_ipv4 of int
   | Not_udp of int
   | Ip_error of Ipv4.error
@@ -56,7 +57,8 @@ val parse_slice : Slice.t -> (view, error) result
 (** Parse and validate wire bytes without copying the payload: headers
     are verified in place and the view's payload aliases the input.
     Ethernet minimum-size padding is tolerated and stripped (the IP
-    total length is authoritative). *)
+    total length is authoritative). Total: malformed or short input
+    is an [Error], never an exception. *)
 
 val parse : bytes -> (t, error) result
 (** [parse_slice] + {!of_view}: parse into an owning frame. *)

@@ -80,6 +80,13 @@ let encode v =
   write_value w v;
   Net.Buf.contents w
 
+(* A string or blob length. A varint above [max_int] reads as negative;
+   either that or more bytes than remain cannot be satisfied. *)
+let read_len r =
+  let n = Int64.to_int (read_varint r) in
+  if n < 0 || n > Net.Buf.remaining r then raise (Decode_error Truncated);
+  n
+
 let rec read_value (s : Schema.t) r : Value.t =
   match s with
   | Schema.Unit -> Value.Unit
@@ -87,10 +94,10 @@ let rec read_value (s : Schema.t) r : Value.t =
   | Schema.Int -> Value.Int (unzigzag (read_varint r))
   | Schema.Float -> Value.Float (Int64.float_of_bits (Net.Buf.read_u64 r))
   | Schema.Str ->
-      let n = Int64.to_int (read_varint r) in
+      let n = read_len r in
       Value.Str (Bytes.to_string (Net.Buf.read_bytes r ~len:n))
   | Schema.Blob ->
-      let n = Int64.to_int (read_varint r) in
+      let n = read_len r in
       Value.Blob (Net.Buf.read_bytes r ~len:n)
   | Schema.List elt ->
       let n = Int64.to_int (read_varint r) in

@@ -16,7 +16,8 @@ val encoded_size : Value.t -> int
 type error = Truncated | Trailing_bytes of int | Overlong_varint
 
 val decode : Schema.t -> bytes -> (Value.t, error) result
-(** Decode a complete buffer; trailing bytes are an error. *)
+(** Decode a complete buffer; trailing bytes are an error. Total:
+    malformed input is an [Error], never an exception. *)
 
 val decode_partial : Schema.t -> Net.Buf.reader -> (Value.t, error) result
 (** Decode one value, leaving the reader after it. *)

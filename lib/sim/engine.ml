@@ -1,19 +1,17 @@
 type t = {
   mutable clock : Units.time;
-  queue : (unit -> unit) Scheduler.t;
+  queue : (unit -> unit) Event_heap.t;
   mutable fired : int;
   mutable monitor : (Units.time -> unit) option;
 }
 
-type handle = (unit -> unit) Scheduler.handle
+type handle = (unit -> unit) Event_heap.handle
 
-let create ?sched () =
-  let kind = match sched with Some k -> k | None -> Scheduler.env_kind () in
-  { clock = 0; queue = Scheduler.create kind; fired = 0; monitor = None }
+let create () =
+  { clock = 0; queue = Event_heap.create (); fired = 0; monitor = None }
 
-let scheduler_kind t = Scheduler.kind t.queue
 let set_monitor t m = t.monitor <- m
-let validate t = Scheduler.validate t.queue
+let validate t = Event_heap.validate t.queue
 let now t = t.clock
 
 let[@hot_path] schedule_at t ~at f =
@@ -21,20 +19,20 @@ let[@hot_path] schedule_at t ~at f =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is before now (%d)" at
          t.clock);
-  Scheduler.push t.queue ~time:at f
+  Event_heap.push t.queue ~time:at f
 
 let[@hot_path] schedule_after t ~after f =
   if after < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  Scheduler.push t.queue ~time:(t.clock + after) f
+  Event_heap.push t.queue ~time:(t.clock + after) f
 
-let[@hot_path] cancel t h = Scheduler.cancel t.queue h
-let pending t = Scheduler.live_count t.queue
-let[@hot_path] min_time t = Scheduler.min_time t.queue
+let[@hot_path] cancel t h = Event_heap.cancel t.queue h
+let pending t = Event_heap.live_count t.queue
+let[@hot_path] min_time t = Event_heap.min_time t.queue
 
 (* Fire the earliest event, whose timestamp [time] the caller has just
-   read with [Scheduler.min_time]. *)
+   read with [Event_heap.min_time]. *)
 let[@hot_path] [@inline] fire t time =
-  let f = Scheduler.pop_min t.queue in
+  let f = Event_heap.pop_min t.queue in
   (match t.monitor with None -> () | Some m -> m time);
   t.clock <- time;
   t.fired <- t.fired + 1;
@@ -43,10 +41,10 @@ let[@hot_path] [@inline] fire t time =
 (* [min_time] answers [max_int] for an empty queue; [is_empty] tells
    that apart from an event scheduled at [max_int]. *)
 let[@hot_path] [@inline] has_event t time =
-  time < max_int || not (Scheduler.is_empty t.queue)
+  time < max_int || not (Event_heap.is_empty t.queue)
 
 let[@hot_path] step t =
-  let time = Scheduler.min_time t.queue in
+  let time = Event_heap.min_time t.queue in
   if has_event t time then begin
     fire t time;
     true
@@ -58,7 +56,7 @@ let[@hot_path] step t =
 let[@hot_path] run_until t limit =
   let continue = ref true in
   while !continue do
-    let time = Scheduler.min_time t.queue in
+    let time = Event_heap.min_time t.queue in
     if time <= limit && has_event t time then fire t time
     else continue := false
   done;

@@ -12,16 +12,9 @@ type handle
 (** A scheduled event, usable for cancellation (e.g. timers that are
     disarmed when the awaited message arrives first). *)
 
-val create : ?sched:Scheduler.kind -> unit -> t
-(** A fresh engine with the clock at time 0 and an empty queue.
-
-    [sched] picks the event-queue backend; it defaults to
-    {!Scheduler.env_kind} (the [LAUBERHORN_SCHED] environment
-    variable, binary heap when unset). Both backends produce
-    byte-identical runs — the choice is purely a cost profile. *)
-
-val scheduler_kind : t -> Scheduler.kind
-(** Which backend this engine's queue runs on. *)
+val create : unit -> t
+(** A fresh engine with the clock at time 0 and an empty queue
+    (an {!Event_heap}). *)
 
 val now : t -> Units.time
 (** Current simulated time. *)
@@ -44,21 +37,20 @@ val pending : t -> int
 
 val min_time : t -> Units.time
 (** Timestamp of the earliest pending event, or [max_int] when the
-    queue is drained; allocation-free on the heap backend. The sharded
+    queue is drained; allocation-free. The sharded
     engine uses this to compute the global minimum next-event time
     that anchors each conservative window. *)
 
 val run : ?until:Units.time -> t -> unit
 (** Process events in time order until the queue drains, or until the
     first event strictly later than [until] (which stays queued and the
-    clock stops at [until]). On the default heap backend neither form
-    allocates: whatever a run allocates is the callbacks' own. *)
+    clock stops at [until]). Neither form allocates: whatever a run
+    allocates is the callbacks' own. *)
 
 val step : t -> bool
 (** Process exactly one event. Returns [false] if the queue was empty.
-    Reads the event through {!Scheduler.min_time} and
-    {!Scheduler.pop_min}, so a step allocates nothing on the heap
-    backend. *)
+    Reads the event through {!Event_heap.min_time} and
+    {!Event_heap.pop_min}, so a step allocates nothing. *)
 
 val events_processed : t -> int
 (** Total callbacks fired so far (simulation-effort metric). *)
@@ -70,4 +62,4 @@ val set_monitor : t -> (Units.time -> unit) option -> unit
     prove the clock never moves backwards. *)
 
 val validate : t -> (unit, string) result
-(** Structural self-check of the event queue ({!Scheduler.validate}). *)
+(** Structural self-check of the event queue ({!Event_heap.validate}). *)

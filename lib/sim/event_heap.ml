@@ -1,6 +1,7 @@
-(* Re-exported so field access stays direct while the concrete record
-   lives in [Sched_entry], shared with the timing-wheel backend. *)
-type 'a entry = 'a Sched_entry.t = {
+(* [seq] is the heap-local insertion number used to break timestamp
+   ties FIFO; the pair [(time, seq)] totally orders every entry the heap
+   ever held. *)
+type 'a entry = {
   time : Units.time;
   seq : int;
   payload : 'a;
@@ -149,17 +150,6 @@ let[@hot_path] rec pop_min t =
     t.live <- t.live - 1;
     e.payload
   end
-
-(* The option-returning forms, for callers off the engine's path.
-   [min_time] first, so a heap holding only cancelled entries is
-   emptied exactly as the pop that finds nothing would. *)
-let peek_time t =
-  let time = min_time t in
-  if t.live = 0 then None else Some time
-
-let pop t =
-  let time = min_time t in
-  if t.live = 0 then None else Some (time, pop_min t)
 
 (* Structural self-check for sanitizer builds: the array prefix
    [0, size) must satisfy the heap order (parent not later than either

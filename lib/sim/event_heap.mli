@@ -17,10 +17,8 @@
 type 'a t
 (** Heap carrying payloads of type ['a]. *)
 
-type 'a handle = 'a Sched_entry.t
-(** Identifies a scheduled entry; used to cancel it. The concrete type
-    is shared with {!Timing_wheel} so {!Scheduler} can hand out one
-    handle type regardless of backend. *)
+type 'a handle
+(** Identifies a scheduled entry; used to cancel it. *)
 
 val create : unit -> 'a t
 
@@ -37,20 +35,13 @@ val cancel : 'a t -> 'a handle -> unit
 (** Cancel a scheduled entry. Cancelling an already-popped or
     already-cancelled entry is a no-op. *)
 
-val pop : 'a t -> (Units.time * 'a) option
-(** Remove and return the earliest live entry, or [None] if empty. *)
-
-val peek_time : 'a t -> Units.time option
-(** Timestamp of the earliest live entry without removing it. *)
-
 val min_time : 'a t -> Units.time
-(** As {!peek_time} without the [option]: the earliest live timestamp,
-    or [max_int] when no live entry remains. Allocates nothing. *)
+(** Timestamp of the earliest live entry without removing it, or
+    [max_int] when no live entry remains. Allocates nothing. *)
 
 val pop_min : 'a t -> 'a
-(** As {!pop} without the [option] and the pair: remove the earliest
-    live entry and return its payload. Its timestamp is the
-    {!min_time} read just before. Allocates nothing.
+(** Remove the earliest live entry and return its payload. Its
+    timestamp is the {!min_time} read just before. Allocates nothing.
 
     @raise Invalid_argument when no live entry remains (callers check
     {!is_empty} first). *)

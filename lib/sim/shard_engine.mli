@@ -21,7 +21,7 @@
     but the wrapping ({!Worker_failed}) differs.
 
     Sanitizers attach per shard: each shard's engine keeps its own
-    {!Sanitize.Engine_watch} monotonicity monitor and heap/wheel
+    {!Sanitize.Engine_watch} monotonicity monitor and event-heap
     validation, touched only by the domain running that shard. *)
 
 type t

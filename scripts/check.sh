@@ -68,14 +68,6 @@ for sec in fig2 losssweep failover; do
   LAUBERHORN_SHARDS=4 LAUBERHORN_SANITIZE=1 dune exec bin/figures.exe -- "$sec" > "$b"
   diff "$a" "$b"
 done
-# Scheduler-backend determinism: the timing wheel must replay the exact
-# event order of the binary heap — byte-identical output on the most
-# timer-churn-heavy sections.
-for sec in losssweep failover; do
-  LAUBERHORN_SCHED=heap dune exec bin/figures.exe -- "$sec" > "$a"
-  LAUBERHORN_SCHED=wheel dune exec bin/figures.exe -- "$sec" > "$b"
-  diff "$a" "$b"
-done
 # E16: cross-shard RPC rack with real multi-domain execution — the
 # experiment itself asserts per-host byte-identity across 1/2/4/8
 # domains and fails loudly if the merge order ever diverges.

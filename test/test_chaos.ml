@@ -3,7 +3,7 @@
    the fabric wire-fault seam, generation-tagged epochs and worker
    leases on the control plane, Obs.Online streaming moments, and the
    headline QCheck property — a rack under a random fault plan stays
-   byte-identical across domain counts and scheduler backends, with
+   byte-identical across domain counts, with
    global conservation (every call resolves, every lost frame counted). *)
 
 let checki = Alcotest.check Alcotest.int
@@ -349,12 +349,11 @@ let chaos_drain = ms 10
 (* Run a rack under [plan] and distill everything observable into one
    string: the E17 digest, call/frame conservation, and the merged
    metrics snapshot. Any behavioural difference across domain counts
-   or schedulers surfaces as a digest mismatch. *)
-let run_chaos_rack ?(domains = 1) ?(sched = Sim.Scheduler.Heap) ~plan ~seed ()
-    =
+   surfaces as a digest mismatch. *)
+let run_chaos_rack ?(domains = 1) ~plan ~seed () =
   let metrics = Obs.Metrics.create () in
   let rack =
-    Experiments.Rack.make_rack ~domains ~sched ~fault:plan ~metrics
+    Experiments.Rack.make_rack ~domains ~fault:plan ~metrics
       ~hosts:chaos_hosts ()
   in
   let fabric = rack.Experiments.Rack.fabric in
@@ -621,26 +620,17 @@ let arb_chaos_case =
 let qcheck_chaos_determinism =
   QCheck.Test.make ~count:10
     ~name:
-      "chaos racks conserve and run byte-identical across domains/schedulers"
+      "chaos racks conserve and run byte-identical across domains"
     arb_chaos_case
     (fun (raw, seed) ->
       let plan = build_plan raw in
-      let reference, conserved =
-        run_chaos_rack ~domains:1 ~sched:Sim.Scheduler.Heap ~plan ~seed ()
-      in
+      let reference, conserved = run_chaos_rack ~domains:1 ~plan ~seed () in
       conserved
       && List.for_all
-           (fun (domains, sched) ->
-             let digest, conserved' =
-               run_chaos_rack ~domains ~sched ~plan ~seed ()
-             in
+           (fun domains ->
+             let digest, conserved' = run_chaos_rack ~domains ~plan ~seed () in
              conserved' && String.equal reference digest)
-           [
-             (2, Sim.Scheduler.Heap);
-             (4, Sim.Scheduler.Heap);
-             (1, Sim.Scheduler.Wheel);
-             (4, Sim.Scheduler.Wheel);
-           ])
+           [ 2; 4 ])
 
 let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
 

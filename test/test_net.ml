@@ -281,6 +281,49 @@ let test_frame_rejects_non_ipv4 () =
   | Error e -> Alcotest.failf "wrong error: %a" Net.Frame.pp_error e
   | Ok _ -> Alcotest.fail "accepted ARP"
 
+(* Anything shorter than an Ethernet header is [Truncated], through
+   both entry points. *)
+let test_frame_short_input () =
+  let expect_truncated n = function
+    | Error Net.Frame.Truncated -> ()
+    | Error e ->
+        Alcotest.failf "%d bytes: wrong error: %a" n Net.Frame.pp_error e
+    | Ok _ -> Alcotest.failf "%d bytes: parsed" n
+  in
+  for n = 0 to Net.Ethernet.header_size - 1 do
+    let b = Bytes.make n '\x08' in
+    expect_truncated n (Net.Frame.parse b);
+    expect_truncated n (Net.Frame.parse_slice (Net.Slice.of_bytes b))
+  done
+
+(* Both parsers are total on arbitrary bytes. Half the inputs carry the
+   IPv4 ethertype and version/IHL byte, and a valid IP header checksum
+   when long enough, so they reach the IP length checks and the UDP
+   reader instead of stopping at the Ethernet type check. *)
+let frame_parse_total =
+  QCheck.Test.make ~name:"frame parse never raises on arbitrary bytes"
+    ~count:1000
+    QCheck.(pair bool (string_of_size Gen.(0 -- 200)))
+    (fun (ipv4, s) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      if ipv4 && n >= 15 then begin
+        Bytes.set_uint16_be b 12 Net.Ethernet.ethertype_ipv4;
+        Bytes.set_uint8 b 14 0x45
+      end;
+      if ipv4 && n >= 34 then begin
+        Bytes.set_uint8 b 23 Net.Ipv4.protocol_udp;
+        Bytes.set_uint16_be b 24 0;
+        Bytes.set_uint16_be b 24 (Net.Checksum.compute b ~pos:14 ~len:20)
+      end;
+      match
+        (Net.Frame.parse b, Net.Frame.parse_slice (Net.Slice.of_bytes b))
+      with
+      | _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%d bytes raised %s" n
+            (Printexc.to_string e))
+
 (* ---------- Slice / Pool ---------- *)
 
 let test_slice_views () =
@@ -473,8 +516,15 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "rejects non-ipv4" `Quick
             test_frame_rejects_non_ipv4;
+          Alcotest.test_case "short input is truncated" `Quick
+            test_frame_short_input;
         ]
-        @ qsuite [ frame_roundtrip_any_payload; parse_slice_matches_parse ]
+        @ qsuite
+            [
+              frame_roundtrip_any_payload;
+              parse_slice_matches_parse;
+              frame_parse_total;
+            ]
       );
       ( "slice_pool",
         [

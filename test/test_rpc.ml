@@ -1,6 +1,6 @@
 (* Tests for the RPC framework: values, schemas, the wire codec, the
-   RPC header, service interfaces, the registry, deserialization cost
-   model, and reply continuations. *)
+   RPC header, service interfaces, deserialization cost model, and
+   reply continuations. *)
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
@@ -132,6 +132,52 @@ let test_codec_error_cases () =
   | Error e -> Alcotest.failf "wrong error: %a" Rpc.Codec.pp_error e
   | Ok _ -> Alcotest.fail "accepted truncated string"
 
+(* A 10-byte varint whose value exceeds [max_int] reads as a negative
+   length; it must be rejected like any other unsatisfiable length. *)
+let test_codec_negative_length () =
+  let b = Bytes.of_string "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" in
+  List.iter
+    (fun s ->
+      match Rpc.Codec.decode s b with
+      | Error Rpc.Codec.Truncated -> ()
+      | Error e -> Alcotest.failf "wrong error: %a" Rpc.Codec.pp_error e
+      | Ok _ -> Alcotest.fail "accepted a negative length")
+    [ Rpc.Schema.Str; Rpc.Schema.Blob ]
+
+(* [decode] is total: any bytes give [Ok] or [Error], for every schema
+   constructor. A run of 0xff bytes in front steers inputs into long and
+   overlong varints. Lists take non-empty elements only: a zero-width
+   element lets a hostile count allocate millions of cells. *)
+let codec_decode_total =
+  let schemas =
+    Rpc.Schema.
+      [
+        Unit;
+        Bool;
+        Int;
+        Float;
+        Str;
+        Blob;
+        List Int;
+        List Str;
+        Tuple [ Int; Str; Blob ];
+        List (Tuple [ Bool; Blob ]);
+      ]
+  in
+  QCheck.Test.make ~name:"codec decode never raises on arbitrary bytes"
+    ~count:500
+    QCheck.(pair (int_bound 12) (string_of_size Gen.(0 -- 64)))
+    (fun (ff, tail) ->
+      let b = Bytes.of_string (String.make ff '\xff' ^ tail) in
+      List.for_all
+        (fun s ->
+          match Rpc.Codec.decode s b with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%a raised %s" Rpc.Schema.pp s
+                (Printexc.to_string e))
+        schemas)
+
 let codec_roundtrip_property =
   QCheck.Test.make ~name:"codec decode∘encode = id on conforming values"
     ~count:500 QCheck.(int_bound 1_000_000)
@@ -186,7 +232,7 @@ let test_wire_format_errors () =
   | Error (Rpc.Wire_format.Bad_kind 9) -> ()
   | _ -> Alcotest.fail "bad kind accepted"
 
-(* ---------- Interface / registry ---------- *)
+(* ---------- Interface ---------- *)
 
 let test_echo_service () =
   let svc = Rpc.Interface.echo_service ~id:4 in
@@ -232,24 +278,6 @@ let test_service_duplicate_methods_rejected () =
        ignore (Rpc.Interface.service ~id:1 ~name:"dup" [ m; m ]);
        false
      with Invalid_argument _ -> true)
-
-let test_registry () =
-  let r = Rpc.Registry.create () in
-  let svc = Rpc.Interface.echo_service ~id:9 in
-  Rpc.Registry.register r ~port:8080 svc;
-  checkb "by port" true (Rpc.Registry.lookup_port r ~port:8080 <> None);
-  checkb "by id" true (Rpc.Registry.lookup_service r ~service_id:9 <> None);
-  checkb "method" true
-    (Rpc.Registry.lookup_method r ~service_id:9 ~method_id:0 <> None);
-  checki "gen" 1 (Rpc.Registry.generation r);
-  checkb "port clash" true
-    (try
-       Rpc.Registry.register r ~port:8080 (Rpc.Interface.echo_service ~id:10);
-       false
-     with Invalid_argument _ -> true);
-  Rpc.Registry.unregister r ~port:8080;
-  checkb "gone" true (Rpc.Registry.lookup_port r ~port:8080 = None);
-  checki "gen bumped" 2 (Rpc.Registry.generation r)
 
 (* ---------- Deser cost ---------- *)
 
@@ -368,8 +396,10 @@ let () =
           Alcotest.test_case "size prediction" `Quick
             test_codec_encoded_size_matches;
           Alcotest.test_case "error cases" `Quick test_codec_error_cases;
+          Alcotest.test_case "negative length" `Quick
+            test_codec_negative_length;
         ]
-        @ qsuite [ codec_roundtrip_property ] );
+        @ qsuite [ codec_roundtrip_property; codec_decode_total ] );
       ( "wire_format",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_format_roundtrip;
@@ -385,7 +415,6 @@ let () =
           Alcotest.test_case "kv store" `Quick test_kv_service;
           Alcotest.test_case "duplicate methods rejected" `Quick
             test_service_duplicate_methods_rejected;
-          Alcotest.test_case "registry" `Quick test_registry;
         ] );
       ( "deser_cost",
         [

@@ -37,21 +37,18 @@ let test_units_pp () =
 
 (* ---------- Event heap ---------- *)
 
-let drain_values h =
+let drain h =
   let rec go acc =
-    match Sim.Event_heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> go (v :: acc)
+    if Sim.Event_heap.is_empty h then List.rev acc
+    else
+      let t = Sim.Event_heap.min_time h in
+      let v = Sim.Event_heap.pop_min h in
+      go ((t, v) :: acc)
   in
   go []
 
-let drain_times h =
-  let rec go acc =
-    match Sim.Event_heap.pop h with
-    | None -> List.rev acc
-    | Some (t, _) -> go (t :: acc)
-  in
-  go []
+let drain_values h = List.map snd (drain h)
+let drain_times h = List.map fst (drain h)
 
 let test_heap_ordering () =
   let h = Sim.Event_heap.create () in
@@ -83,8 +80,7 @@ let test_heap_peek_skips_cancelled () =
   let a = Sim.Event_heap.push h ~time:1 "a" in
   ignore (Sim.Event_heap.push h ~time:5 "b");
   Sim.Event_heap.cancel h a;
-  check (Alcotest.option Alcotest.int) "peek" (Some 5)
-    (Sim.Event_heap.peek_time h)
+  checki "peek" 5 (Sim.Event_heap.min_time h)
 
 let test_heap_growth () =
   let h = Sim.Event_heap.create () in
@@ -130,9 +126,8 @@ let test_heap_cancel_after_pop () =
   let h = Sim.Event_heap.create () in
   let a = Sim.Event_heap.push h ~time:1 "a" in
   ignore (Sim.Event_heap.push h ~time:2 "b");
-  (match Sim.Event_heap.pop h with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "wrong pop");
+  checki "earliest" 1 (Sim.Event_heap.min_time h);
+  check Alcotest.string "popped" "a" (Sim.Event_heap.pop_min h);
   Sim.Event_heap.cancel h a;
   checki "cancel of popped entry is a no-op" 1 (Sim.Event_heap.live_count h)
 
@@ -152,11 +147,13 @@ let test_heap_compaction_preserves_order () =
 
 (* Model-based property: the heap must agree, operation by operation,
    with a sorted-association-list reference under interleaved
-   push/cancel/pop/peek_time and the allocation-free
-   min_time/pop_min — including cancels aimed at already-popped
-   handles. Scripts start with 0..200 pushes; from 64 on, the mass
-   cancel (three handles in four) drives the heap through its
-   compaction path. [validate] must hold after every operation. *)
+   push/cancel/min_time/pop_min — including cancels aimed at
+   already-popped handles, a [pop_min] with no [min_time] before it
+   (so it must skip cancelled roots itself, and raise when empty) and
+   repeated [min_time] reads. Scripts start with 0..200 pushes; from
+   64 on, the mass cancel (three handles in four) drives the heap
+   through its compaction path. [validate] must hold after every
+   operation. *)
 let heap_matches_reference_model =
   QCheck.Test.make ~name:"heap agrees with sorted-list model" ~count:300
     QCheck.(
@@ -196,13 +193,20 @@ let heap_matches_reference_model =
                   expect (Sim.Event_heap.pop_min h = s);
                   remove s)
           | 4 -> (
-              match (Sim.Event_heap.pop h, earliest ()) with
-              | None, None -> ()
-              | Some (t, s), Some m when (t, s) = m -> remove s
-              | _ -> ok := false)
+              match earliest () with
+              | None ->
+                  expect
+                    (match Sim.Event_heap.pop_min h with
+                    | _ -> false
+                    | exception Invalid_argument _ -> true)
+              | Some (_, s) ->
+                  expect (Sim.Event_heap.pop_min h = s);
+                  remove s)
           | 5 ->
+              let t = Sim.Event_heap.min_time h in
+              expect (Sim.Event_heap.min_time h = t);
               expect
-                (Sim.Event_heap.peek_time h = Option.map fst (earliest ()))
+                (Sim.Event_heap.is_empty h = Option.is_none (earliest ()))
           | 6 ->
               if Array.length !handles > 0 then begin
                 let s = v mod Array.length !handles in
@@ -292,12 +296,11 @@ let test_engine_step () =
   checkb "first step" true (Sim.Engine.step e);
   checkb "empty step" false (Sim.Engine.step e)
 
-(* [run ~until] boundary semantics, pinned for both scheduler backends:
-   an event exactly at the horizon fires; one strictly later stays
-   queued; and a cancelled entry neither fires nor counts as pending
-   after the run drains past it. *)
-let engine_until_boundary sched () =
-  let e = Sim.Engine.create ~sched () in
+(* [run ~until] boundary semantics: an event exactly at the horizon
+   fires; one strictly later stays queued; and a cancelled entry
+   neither fires nor counts as pending after the run drains past it. *)
+let test_engine_until_boundary () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   ignore (Sim.Engine.schedule_at e ~at:100 (fun () -> fired := 100 :: !fired));
   ignore (Sim.Engine.schedule_at e ~at:101 (fun () -> fired := 101 :: !fired));
@@ -312,8 +315,8 @@ let engine_until_boundary sched () =
     [ 100; 101 ] (List.rev !fired);
   checki "queue drained" 0 (Sim.Engine.pending e)
 
-let engine_until_cancel_consistent sched () =
-  let e = Sim.Engine.create ~sched () in
+let test_engine_until_cancel_consistent () =
+  let e = Sim.Engine.create () in
   let fired = ref 0 in
   let h = Sim.Engine.schedule_at e ~at:50 (fun () -> incr fired) in
   ignore (Sim.Engine.schedule_at e ~at:60 (fun () -> incr fired));
@@ -331,15 +334,15 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before
 
-(* The engine's own per-event cost is allocation-free on the heap
-   backend: 10k pre-scheduled events (a tenth of them cancelled) fired
-   through a callback that allocates nothing must cost 0 words, with
-   and without a horizon. The [until] option is built before the
+(* The engine's own per-event cost is allocation-free: 10k
+   pre-scheduled events (a tenth of them cancelled) fired through a
+   callback that allocates nothing must cost 0 words, with and without
+   a horizon. The [until] option is built before the
    measurement because wrapping it is the caller's allocation. *)
 let test_engine_run_allocates_nothing () =
   let fired = ref 0 in
   let tick () = incr fired in
-  let e = Sim.Engine.create ~sched:Sim.Scheduler.Heap () in
+  let e = Sim.Engine.create () in
   for i = 1 to 10_000 do
     let h = Sim.Engine.schedule_at e ~at:((i * 7919) mod 5_000) tick in
     if i mod 10 = 0 then Sim.Engine.cancel e h
@@ -364,112 +367,6 @@ let test_engine_run_allocates_nothing () =
          done));
   checkb "drained" true (Sim.Event_heap.min_time h = max_int);
   ignore (Sys.opaque_identity !sum)
-
-(* ---------- Timing wheel ---------- *)
-
-(* Drive a heap-backed and a wheel-backed [Scheduler] through the same
-   schedule/cancel/pop script — through both the option-returning
-   [pop]/[peek_time] and the allocation-free [min_time]/[pop_min] — and
-   demand identical observable behaviour: the byte-identity contract
-   [LAUBERHORN_SCHED=wheel] relies on. *)
-let wheel_matches_heap =
-  QCheck.Test.make ~name:"timing wheel agrees with event heap" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 400) (pair (int_bound 5) small_nat))
-    (fun ops ->
-      let h = Sim.Scheduler.create Sim.Scheduler.Heap in
-      let w = Sim.Scheduler.create Sim.Scheduler.Wheel in
-      let hh = ref [||] and wh = ref [||] in
-      let clock = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (op, v) ->
-          match op with
-          | 0 | 1 ->
-              (* Mix short delays (level-0 churn) with long ones that
-                 exercise higher levels and the overflow vector. *)
-              let d =
-                if op = 0 then 1 + (v mod 300)
-                else 1 + ((v + 1) * 65_537)
-              in
-              let t = !clock + d in
-              hh := Array.append !hh [| Sim.Scheduler.push h ~time:t v |];
-              wh := Array.append !wh [| Sim.Scheduler.push w ~time:t v |]
-          | 2 -> (
-              match (Sim.Scheduler.pop h, Sim.Scheduler.pop w) with
-              | None, None -> ()
-              | Some (t, x), Some (t', x') when t = t' && x = x' -> clock := t
-              | _ -> ok := false)
-          | 3 ->
-              if Array.length !hh > 0 then begin
-                let i = v mod Array.length !hh in
-                Sim.Scheduler.cancel h !hh.(i);
-                Sim.Scheduler.cancel w !wh.(i)
-              end
-          | 4 ->
-              if Sim.Scheduler.min_time h <> Sim.Scheduler.min_time w
-                 || Sim.Scheduler.peek_time h <> Sim.Scheduler.peek_time w
-              then ok := false
-          | _ ->
-              let t = Sim.Scheduler.min_time h in
-              if Sim.Scheduler.is_empty h || Sim.Scheduler.is_empty w then
-                ok :=
-                  !ok && Sim.Scheduler.is_empty h && Sim.Scheduler.is_empty w
-                  && t = max_int
-                  && Sim.Scheduler.min_time w = max_int
-              else if
-                t = Sim.Scheduler.min_time w
-                && Sim.Scheduler.pop_min h = Sim.Scheduler.pop_min w
-              then clock := t
-              else ok := false)
-        ops;
-      !ok
-      && Sim.Scheduler.live_count h = Sim.Scheduler.live_count w
-      && Result.is_ok (Sim.Scheduler.validate h)
-      && Result.is_ok (Sim.Scheduler.validate w)
-      && (let rec drain () =
-            match (Sim.Scheduler.pop h, Sim.Scheduler.pop w) with
-            | None, None -> true
-            | Some (t, x), Some (t', x') when t = t' && x = x' -> drain ()
-            | _ -> false
-          in
-          drain ()))
-
-let test_wheel_fifo_ties () =
-  let w = Sim.Timing_wheel.create () in
-  ignore (Sim.Timing_wheel.push w ~time:10 "first");
-  ignore (Sim.Timing_wheel.push w ~time:10 "second");
-  ignore (Sim.Timing_wheel.push w ~time:10 "third");
-  let popped = ref [] in
-  let rec drain () =
-    match Sim.Timing_wheel.pop w with
-    | None -> ()
-    | Some (_, x) ->
-        popped := x :: !popped;
-        drain ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "fifo ties"
-    [ "first"; "second"; "third" ]
-    (List.rev !popped)
-
-let test_wheel_overflow_migration () =
-  (* An entry beyond the 2^48 ns wheel span parks in the overflow
-     vector and must still pop in global order once reachable. *)
-  let w = Sim.Timing_wheel.create () in
-  let far = (1 lsl 48) + 17 in
-  ignore (Sim.Timing_wheel.push w ~time:far "far");
-  ignore (Sim.Timing_wheel.push w ~time:5 "near");
-  checkb "wheel invariants hold" true
-    (Result.is_ok (Sim.Timing_wheel.validate w));
-  checkb "near first"
-    true
-    (match Sim.Timing_wheel.pop w with Some (5, "near") -> true | _ -> false);
-  checkb "far second"
-    true
-    (match Sim.Timing_wheel.pop w with
-    | Some (t, "far") -> t = far
-    | _ -> false);
-  checkb "empty" true (Sim.Timing_wheel.is_empty w)
 
 (* ---------- RNG ---------- *)
 
@@ -704,23 +601,12 @@ let () =
             test_engine_past_raises;
           Alcotest.test_case "single step" `Quick test_engine_step;
           Alcotest.test_case "until boundary (heap)" `Quick
-            (engine_until_boundary Sim.Scheduler.Heap);
-          Alcotest.test_case "until boundary (wheel)" `Quick
-            (engine_until_boundary Sim.Scheduler.Wheel);
+            test_engine_until_boundary;
           Alcotest.test_case "cancel-then-run pending (heap)" `Quick
-            (engine_until_cancel_consistent Sim.Scheduler.Heap);
-          Alcotest.test_case "cancel-then-run pending (wheel)" `Quick
-            (engine_until_cancel_consistent Sim.Scheduler.Wheel);
+            test_engine_until_cancel_consistent;
           Alcotest.test_case "run allocates nothing" `Quick
             test_engine_run_allocates_nothing;
         ] );
-      ( "timing_wheel",
-        [
-          Alcotest.test_case "fifo ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "overflow migration" `Quick
-            test_wheel_overflow_migration;
-        ]
-        @ qsuite [ wheel_matches_heap ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
