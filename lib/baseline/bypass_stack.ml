@@ -9,42 +9,31 @@ type poller = {
   mutable spin_since : Sim.Units.time option;
 }
 
+module Rx_core = Lauberhorn.Rx_core
+
 type t = {
-  engine : Sim.Engine.t;
-  kern : Osmodel.Kernel.t;
+  core : Rx_core.t;
   mutable nic : Nic.Dma_nic.t option;
   sw : Costs.t;
   by_port : (int, service_spec) Hashtbl.t;
   port_to_poller : (int, int) Hashtbl.t;
   mutable pollers : poller array;
   mutable proc : Osmodel.Proc.process option;
-  egress : Net.Frame.t -> unit;
-  counters : Sim.Counter.group;
-  metrics : Obs.Metrics.t;
-  m_kills : Obs.Metrics.counter;
-  m_respawns : Obs.Metrics.counter;
-  tracer : Obs.Tracer.t;
-  trk : int;
 }
 
-let kernel t = t.kern
-let metrics t = t.metrics
-let tracer t = t.tracer
-
-let span_stage t ~rpc name =
-  Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
+let kernel t = t.core.kern
+let metrics t = t.core.metrics
+let tracer t = t.core.tracer
+let counters t = t.core.counters
 
 let nic t =
   match t.nic with
   | Some n -> n
   | None -> invalid_arg "Bypass_stack: NIC not initialised"
 
-let counters t = t.counters
-let ctr t name = Sim.Counter.counter t.counters name
-
-let charge_user t p cost =
+let charge_user t (p : poller) cost =
   Osmodel.Cpu_account.charge
-    (Osmodel.Kernel.account t.kern ~core:p.core)
+    (Osmodel.Kernel.account t.core.kern ~core:p.core)
     Osmodel.Cpu_account.User cost
 
 (* Run-to-completion handling of one frame on the poller's core. The
@@ -61,156 +50,103 @@ let rec poll_loop t p () =
          bypass gives the client no transport-level crash signal). *)
       let th = p.pthread in
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:rx (fun () ->
-             if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
-               handle t p frame))
+        (Sim.Engine.schedule_after t.core.engine ~after:rx (fun () ->
+             if not (Osmodel.Proc.is_exited th) then handle t p frame))
   | None ->
       (* Park the (simulated) spin: the ring's produce callback resumes
          us and we back-charge the spin window. *)
-      p.spin_since <- Some (Sim.Engine.now t.engine)
+      p.spin_since <- Some (Sim.Engine.now t.core.engine)
+
+and drop t p reason =
+  Rx_core.drop t.core reason;
+  poll_loop t p ()
 
 and handle t p frame =
-  let drop counter =
-    Sim.Counter.incr (ctr t counter);
-    poll_loop t p ()
-  in
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
-  | Error _ -> drop "rx_bad_rpc"
+  match Rx_core.header frame with
+  | Error _ -> drop t p Rx_core.Bad_rpc
   | Ok wire -> (
       (* DMA delivery + poll-loop spin + per-packet rx cost. *)
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "poll_rx";
+      Rx_core.span t.core ~rpc:wire.Rpc.Wire_format.rpc_id "poll_rx";
       match
         Hashtbl.find_opt t.by_port frame.Net.Frame.udp.Net.Udp.dst_port
       with
-      | None -> drop "rx_no_service"
+      | None -> drop t p Rx_core.No_service
       | Some sspec -> (
-          match
-            Rpc.Interface.find_method sspec.service
-              wire.Rpc.Wire_format.method_id
-          with
-          | None -> drop "rx_no_method"
-          | Some mdef -> (
-              match
-                Rpc.Codec.decode mdef.Rpc.Interface.request
-                  wire.Rpc.Wire_format.body
-              with
-              | Error _ -> drop "rx_bad_args"
-              | Ok args -> execute t p frame wire mdef args)))
+          match Rx_core.classify sspec.service wire with
+          | Rx_core.Reject r -> drop t p r
+          | Rx_core.Call (mdef, args) -> execute t p frame wire mdef args))
 
 and execute t p frame (wire : Rpc.Wire_format.t) mdef args =
-  let deser =
-    Rpc.Deser_cost.cost Rpc.Deser_cost.software
-      ~fields:(Rpc.Value.field_count args)
-      ~bytes:(Bytes.length wire.Rpc.Wire_format.body)
-  in
-  let work = deser + mdef.Rpc.Interface.handler_time in
+  let work = Rx_core.handler_cost mdef wire args in
   charge_user t p work;
   let th = p.pthread in
   ignore
-    (Sim.Engine.schedule_after t.engine ~after:work (fun () ->
-         if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
-         else begin
-         span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "app";
-         let result = mdef.Rpc.Interface.execute args in
-         let body = Rpc.Codec.encode result in
-         let marshal =
-           Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
-             ~fields:(Rpc.Value.field_count result)
-             ~bytes:(Bytes.length body)
-           + t.sw.Costs.doorbell
-         in
-         charge_user t p marshal;
-         ignore
-           (Sim.Engine.schedule_after t.engine ~after:marshal (fun () ->
-                if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
-                else begin
-                let reply =
-                  {
-                    Rpc.Wire_format.rpc_id = wire.Rpc.Wire_format.rpc_id;
-                    service_id = wire.Rpc.Wire_format.service_id;
-                    method_id = wire.Rpc.Wire_format.method_id;
-                    kind = Rpc.Wire_format.Response;
-                    ctx = wire.Rpc.Wire_format.ctx;
-                    body;
-                  }
-                in
-                let out =
-                  Net.Frame.make
-                    ~src:(Net.Frame.dst_endpoint frame)
-                    ~dst:(Net.Frame.src_endpoint frame)
-                    (Rpc.Wire_format.encode reply)
-                in
-                Sim.Counter.incr (ctr t "tx_frames");
-                span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "marshal";
-                let rpc = wire.Rpc.Wire_format.rpc_id in
-                Nic.Dma_nic.transmit (nic t) out
-                  ~via:(fun f ->
-                    span_stage t ~rpc "tx_dma";
-                    Obs.Tracer.rpc_end t.tracer ~rpc
-                      (Sim.Engine.now t.engine);
-                    t.egress f);
-                Sim.Counter.incr (ctr t "rpcs_handled");
-                poll_loop t p ()
-                end))
+    (Sim.Engine.schedule_after t.core.engine ~after:work (fun () ->
+         if not (Osmodel.Proc.is_exited th) then begin
+           Rx_core.span t.core ~rpc:wire.Rpc.Wire_format.rpc_id "app";
+           let result = mdef.Rpc.Interface.execute args in
+           let body = Rpc.Codec.encode result in
+           let marshal =
+             Rx_core.marshal_cost result body + t.sw.Costs.doorbell
+           in
+           charge_user t p marshal;
+           ignore
+             (Sim.Engine.schedule_after t.core.engine ~after:marshal (fun () ->
+                  if not (Osmodel.Proc.is_exited th) then begin
+                    let out = Rx_core.response_to frame wire body in
+                    let rpc = wire.Rpc.Wire_format.rpc_id in
+                    Rx_core.span t.core ~rpc "marshal";
+                    Nic.Dma_nic.transmit (nic t) out ~via:(fun f ->
+                        Rx_core.span t.core ~rpc "tx_dma";
+                        Rx_core.transmit t.core ~rpc f);
+                    Rx_core.count t.core "rpcs_handled";
+                    poll_loop t p ()
+                  end))
          end))
 
 let resume_from_spin t p () =
-  if p.pthread.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
+  if Osmodel.Proc.is_exited p.pthread then ()
   else
   match p.spin_since with
   | None -> ()
   | Some start ->
       p.spin_since <- None;
-      let spun = Sim.Engine.now t.engine - start in
+      let spun = Sim.Engine.now t.core.engine - start in
       (* Round up to whole poll iterations — the packet waits for the
          current ring check to come around. *)
       let iters = 1 + (spun / max 1 t.sw.Costs.poll_iteration) in
       Osmodel.Cpu_account.charge
-        (Osmodel.Kernel.account t.kern ~core:p.core)
+        (Osmodel.Kernel.account t.core.kern ~core:p.core)
         Osmodel.Cpu_account.Spin
         (iters * t.sw.Costs.poll_iteration);
       let th = p.pthread in
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:t.sw.Costs.poll_iteration
-           (fun () ->
-             if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
-               poll_loop t p ()))
+        (Sim.Engine.schedule_after t.core.engine
+           ~after:t.sw.Costs.poll_iteration (fun () ->
+             if not (Osmodel.Proc.is_exited th) then poll_loop t p ()))
 
 let create engine ~profile ~ncores ?pollers ?kernel_costs
     ?(sw_costs = Costs.default) ?(fault = Fault.Plan.none) ?metrics ?tracer
     ?sanitize ?steering ~services ~egress () =
-  if services = [] then invalid_arg "Bypass_stack.create: no services";
+  if List.is_empty services then
+    invalid_arg "Bypass_stack.create: no services";
   let npollers = match pollers with Some n -> n | None -> ncores in
   if npollers < 1 || npollers > ncores then
     invalid_arg "Bypass_stack.create: pollers out of [1, ncores]";
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
+  let core =
+    Rx_core.create engine ~name:"bypass" ~ncores ?kernel_costs ?metrics
+      ?tracer ~egress ()
   in
-  let metrics =
-    match metrics with Some m -> m | None -> Obs.Metrics.create ()
-  in
-  let tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
-  in
+  let metrics = core.metrics in
   let t =
     {
-      engine;
-      kern;
+      core;
       nic = None;
       sw = sw_costs;
       by_port = Hashtbl.create 64;
       port_to_poller = Hashtbl.create 64;
       pollers = [||];
       proc = None;
-      egress;
-      counters = Sim.Counter.group "bypass";
-      metrics;
-      m_kills = Obs.Metrics.counter metrics "kills";
-      m_respawns = Obs.Metrics.counter metrics "respawns";
-      tracer;
-      trk = Obs.Tracer.track tracer "bypass";
     }
   in
   (* One RX queue per poller; interrupts permanently masked. *)
@@ -230,18 +166,7 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
     Nic.Dma_nic.mask_irq dnic ~queue:q
   done;
   t.nic <- Some dnic;
-  (match sanitize with
-  | None -> ()
-  | Some z ->
-      ignore
-        (Sanitize.Pool_watch.attach z ~name:"bypass-rx-pool"
-           ~in_flight:(fun () ->
-             let occ = ref 0 in
-             for q = 0 to npollers - 1 do
-               occ := !occ + Nic.Ring.occupancy (Nic.Dma_nic.rx_ring dnic ~queue:q)
-             done;
-             !occ)
-           (Nic.Dma_nic.pool dnic)));
+  Rx_core.watch_rx_pool core sanitize dnic;
   (* Static service -> poller assignment, round robin. *)
   List.iteri
     (fun i sspec ->
@@ -267,7 +192,7 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
            | None -> 0)
        [@steer_seam]));
   (* Spawn pinned poller threads. *)
-  let proc = Osmodel.Kernel.new_process kern ~name:"bypass-app" in
+  let proc = Osmodel.Kernel.new_process core.kern ~name:"bypass-app" in
   t.proc <- Some proc;
   t.pollers <-
     Array.init npollers (fun pidx ->
@@ -278,7 +203,7 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
           | None -> assert false
         in
         let pthread =
-          Osmodel.Kernel.spawn kern proc
+          Osmodel.Kernel.spawn core.kern proc
             ~name:(Printf.sprintf "poller%d" pidx)
             ~affinity:pidx body
         in
@@ -289,24 +214,18 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
     (fun p ->
       let ring = Nic.Dma_nic.rx_ring dnic ~queue:p.pidx in
       Nic.Ring.on_produce ring (fun () -> resume_from_spin t p ());
-      Osmodel.Kernel.wake kern p.pthread)
+      Osmodel.Kernel.wake core.kern p.pthread)
     t.pollers;
   t
 
 let ingress t frame =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when w.Rpc.Wire_format.kind = Rpc.Wire_format.Request ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
-          ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok _ | Error _ -> ()
-  end;
+  Rx_core.trace_ingress t.core frame;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 
 let flush_spin t =
   (* Charge the open spin window of every idle poller up to now; the
      window restarts so repeated flushes do not double-charge. *)
-  let now = Sim.Engine.now t.engine in
+  let now = Sim.Engine.now t.core.engine in
   Array.iter
     (fun p ->
       match p.spin_since with
@@ -314,7 +233,7 @@ let flush_spin t =
       | Some start ->
           if now > start then begin
             Osmodel.Cpu_account.charge
-              (Osmodel.Kernel.account t.kern ~core:p.core)
+              (Osmodel.Kernel.account t.core.kern ~core:p.core)
               Osmodel.Cpu_account.Spin (now - start);
             p.spin_since <- Some now
           end)
@@ -324,7 +243,7 @@ let check_service t ~service_id =
   let known =
     Hashtbl.fold
       (fun _ s acc ->
-        acc || s.service.Rpc.Interface.service_id = service_id)
+        acc || Int.equal s.service.Rpc.Interface.service_id service_id)
       t.by_port false
   in
   if not known then
@@ -349,16 +268,16 @@ let kill_service t ~service_id =
        the time actually spent spinning before the crash. *)
     flush_spin t;
     Array.iter (fun p -> p.spin_since <- None) t.pollers;
-    Osmodel.Kernel.kill t.kern proc;
-    Obs.Metrics.incr t.m_kills
+    Osmodel.Kernel.kill t.core.kern proc;
+    Obs.Metrics.incr t.core.m_kills
   end
 
 let restart_service t ~service_id =
   check_service t ~service_id;
   let proc = app_proc t in
   if not proc.Osmodel.Proc.alive then begin
-    Osmodel.Kernel.respawn t.kern proc;
-    Obs.Metrics.incr t.m_respawns;
+    Osmodel.Kernel.respawn t.core.kern proc;
+    Obs.Metrics.incr t.core.m_respawns;
     (* Fresh poller threads on the same pinned cores; each immediately
        drains whatever survived in its RX ring. The ring on_produce
        callbacks close over the mutable poller records, so they keep
@@ -366,14 +285,14 @@ let restart_service t ~service_id =
     Array.iter
       (fun p ->
         let pthread =
-          Osmodel.Kernel.spawn t.kern proc
+          Osmodel.Kernel.spawn t.core.kern proc
             ~name:(Printf.sprintf "poller%d" p.pidx)
             ~affinity:p.core
             (fun () -> poll_loop t p ())
         in
         p.pthread <- pthread;
         p.spin_since <- None;
-        Osmodel.Kernel.wake t.kern pthread)
+        Osmodel.Kernel.wake t.core.kern pthread)
       t.pollers
   end
 
@@ -383,10 +302,8 @@ let poller_of_port t ~port =
   | None -> invalid_arg (Printf.sprintf "Bypass_stack: unknown port %d" port)
 
 let driver t =
-  Harness.Driver.make ~name:"bypass"
+  Rx_core.driver t.core
     ~ingress:(fun f -> ingress t f)
-    ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
     ~describe:(fun () ->
       Printf.sprintf "bypass(%d pollers, %d services)"
         (Array.length t.pollers) (Hashtbl.length t.by_port))
-    ()

@@ -15,44 +15,33 @@ type service_rt = {
       (* retained for crash/restart (threads are reachable through it) *)
 }
 
+module Rx_core = Lauberhorn.Rx_core
+
 type t = {
-  engine : Sim.Engine.t;
-  kern : Osmodel.Kernel.t;
+  core : Rx_core.t;
   mutable nic : Nic.Dma_nic.t option;
   sw : Costs.t;
   by_port : (int, service_rt) Hashtbl.t;
-  egress : Net.Frame.t -> unit;
-  counters : Sim.Counter.group;
-  metrics : Obs.Metrics.t;
-  m_kills : Obs.Metrics.counter;
-  m_respawns : Obs.Metrics.counter;
-  tracer : Obs.Tracer.t;
-  trk : int;
 }
 
-let kernel t = t.kern
-let metrics t = t.metrics
-let tracer t = t.tracer
-
-let span_stage t ~rpc name =
-  Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
+let kernel t = t.core.kern
+let metrics t = t.core.metrics
+let tracer t = t.core.tracer
+let counters t = t.core.counters
 
 (* Stage boundaries inside the kernel path see only the frame; the
    wire-format decode to recover the RPC id is paid only when the
    tracer is on. *)
 let span_stage_frame t frame name =
-  if Obs.Tracer.is_enabled t.tracer then
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w -> span_stage t ~rpc:w.Rpc.Wire_format.rpc_id name
+  if Obs.Tracer.is_enabled t.core.tracer then
+    match Rx_core.header frame with
+    | Ok w -> Rx_core.span t.core ~rpc:w.Rpc.Wire_format.rpc_id name
     | Error _ -> ()
 
 let nic t =
   match t.nic with
   | Some n -> n
   | None -> invalid_arg "Linux_stack: NIC not initialised"
-
-let counters t = t.counters
-let ctr t name = Sim.Counter.counter t.counters name
 
 let napi_budget = 64
 
@@ -72,12 +61,12 @@ let rec napi t ~core ~queue ~budget () =
   | Some delivery ->
       let cost = t.sw.Costs.softirq_per_packet + t.sw.Costs.socket_demux in
       Osmodel.Cpu_account.charge
-        (Osmodel.Kernel.account t.kern ~core)
+        (Osmodel.Kernel.account t.core.kern ~core)
         Osmodel.Cpu_account.Kernel cost;
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
+        (Sim.Engine.schedule_after t.core.engine ~after:cost (fun () ->
              (match delivery with
-             | None -> Sim.Counter.incr (ctr t "rx_no_service")
+             | None -> Rx_core.drop t.core Rx_core.No_service
              | Some (rt, frame) ->
                  (* MAC + DMA + interrupt + softirq, attributed at the
                     moment the frame reaches its socket. *)
@@ -87,17 +76,18 @@ let rec napi t ~core ~queue ~budget () =
              else begin
                (* Budget exhausted: ksoftirqd would take over; model as
                   continued polling after a reschedule-sized gap. *)
-               Sim.Counter.incr (ctr t "napi_budget_exhausted");
+               Rx_core.count t.core "napi_budget_exhausted";
                ignore
-                 (Sim.Engine.schedule_after t.engine
-                    ~after:(Osmodel.Kernel.costs t.kern).Osmodel.Kernel.syscall
+                 (Sim.Engine.schedule_after t.core.engine
+                    ~after:
+                      (Osmodel.Kernel.costs t.core.kern).Osmodel.Kernel.syscall
                     (napi t ~core ~queue ~budget:napi_budget))
              end))
 
 let on_rx_interrupt t ~queue =
   Nic.Dma_nic.mask_irq (nic t) ~queue;
-  Sim.Counter.incr (ctr t "interrupts");
-  Osmodel.Kernel.run_irq t.kern ~cost:(Sim.Units.ns 700)
+  Rx_core.count t.core "interrupts";
+  Osmodel.Kernel.run_irq t.core.kern ~cost:(Sim.Units.ns 700)
     (fun ~core -> napi t ~core ~queue ~budget:napi_budget ())
 
 (* One blocking server thread: recvfrom -> unmarshal -> handler ->
@@ -111,52 +101,34 @@ let rec server_loop t rt th () =
              (t.sw.Costs.recv_copy_per_byte
              *. float_of_int (Bytes.length payload)))
       in
-      Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel
+      Osmodel.Kernel.run_for t.core.kern th ~kind:Osmodel.Cpu_account.Kernel
         copy_cost (fun () ->
-          match Rpc.Wire_format.decode payload with
+          match Rx_core.header frame with
           | Error _ ->
-              Sim.Counter.incr (ctr t "rx_bad_rpc");
+              Rx_core.drop t.core Rx_core.Bad_rpc;
               server_loop t rt th ()
           | Ok wire -> handle_rpc t rt th frame wire))
 
 and handle_rpc t rt th frame (wire : Rpc.Wire_format.t) =
   (* Socket wait + wakeup + recv copy + header decode. *)
-  span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "socket";
-  match
-    Rpc.Interface.find_method rt.sspec.service wire.Rpc.Wire_format.method_id
-  with
-  | None ->
-      Sim.Counter.incr (ctr t "rx_no_method");
+  Rx_core.span t.core ~rpc:wire.Rpc.Wire_format.rpc_id "socket";
+  match Rx_core.classify rt.sspec.service wire with
+  | Rx_core.Reject r ->
+      Rx_core.drop t.core r;
       server_loop t rt th ()
-  | Some mdef -> (
-      match
-        Rpc.Codec.decode mdef.Rpc.Interface.request wire.Rpc.Wire_format.body
-      with
-      | Error _ ->
-          Sim.Counter.incr (ctr t "rx_bad_args");
-          server_loop t rt th ()
-      | Ok args ->
-          let deser_cost =
-            Rpc.Deser_cost.cost Rpc.Deser_cost.software
-              ~fields:(Rpc.Value.field_count args)
-              ~bytes:(Bytes.length wire.Rpc.Wire_format.body)
-          in
-          Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
-            (deser_cost + mdef.Rpc.Interface.handler_time) (fun () ->
-              let result = mdef.Rpc.Interface.execute args in
-              let body = Rpc.Codec.encode result in
-              let marshal_cost =
-                Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
-                  ~fields:(Rpc.Value.field_count result)
-                  ~bytes:(Bytes.length body)
-              in
-              Osmodel.Kernel.run_for t.kern th
-                ~kind:Osmodel.Cpu_account.User marshal_cost (fun () ->
-                  send_reply t rt th frame wire body)))
+  | Rx_core.Call (mdef, args) ->
+      Osmodel.Kernel.run_for t.core.kern th ~kind:Osmodel.Cpu_account.User
+        (Rx_core.handler_cost mdef wire args) (fun () ->
+          let result = mdef.Rpc.Interface.execute args in
+          let body = Rpc.Codec.encode result in
+          Osmodel.Kernel.run_for t.core.kern th ~kind:Osmodel.Cpu_account.User
+            (Rx_core.marshal_cost result body) (fun () ->
+              send_reply t rt th frame wire body))
 
 and send_reply t rt th frame wire body =
   (* Deserialize + handler + marshal, all user time. *)
-  span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "app";
+  let rpc = wire.Rpc.Wire_format.rpc_id in
+  Rx_core.span t.core ~rpc "app";
   let send_cost =
     t.sw.Costs.send_path
     + int_of_float
@@ -164,32 +136,13 @@ and send_reply t rt th frame wire body =
            (t.sw.Costs.send_copy_per_byte *. float_of_int (Bytes.length body)))
     + t.sw.Costs.doorbell
   in
-  Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel send_cost
-    (fun () ->
-      let reply =
-        {
-          Rpc.Wire_format.rpc_id = wire.Rpc.Wire_format.rpc_id;
-          service_id = wire.Rpc.Wire_format.service_id;
-          method_id = wire.Rpc.Wire_format.method_id;
-          kind = Rpc.Wire_format.Response;
-          ctx = wire.Rpc.Wire_format.ctx;
-          body;
-        }
-      in
-      let out =
-        Net.Frame.make
-          ~src:(Net.Frame.dst_endpoint frame)
-          ~dst:(Net.Frame.src_endpoint frame)
-          (Rpc.Wire_format.encode reply)
-      in
-      Sim.Counter.incr (ctr t "tx_frames");
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "send";
-      let rpc = wire.Rpc.Wire_format.rpc_id in
-      Nic.Dma_nic.transmit (nic t) out
-        ~via:(fun f ->
-          span_stage t ~rpc "tx_dma";
-          Obs.Tracer.rpc_end t.tracer ~rpc (Sim.Engine.now t.engine);
-          t.egress f);
+  Osmodel.Kernel.run_for t.core.kern th ~kind:Osmodel.Cpu_account.Kernel
+    send_cost (fun () ->
+      let out = Rx_core.response_to frame wire body in
+      Rx_core.span t.core ~rpc "send";
+      Nic.Dma_nic.transmit (nic t) out ~via:(fun f ->
+          Rx_core.span t.core ~rpc "tx_dma";
+          Rx_core.transmit t.core ~rpc f);
       server_loop t rt th ())
 
 let spawn_server_threads t rt proc =
@@ -201,14 +154,14 @@ let spawn_server_threads t rt proc =
       | None -> assert false
     in
     let th =
-      Osmodel.Kernel.spawn t.kern proc
+      Osmodel.Kernel.spawn t.core.kern proc
         ~name:
           (Printf.sprintf "%s-t%d" rt.sspec.service.Rpc.Interface.service_name
              i)
         body
     in
     th_ref := Some th;
-    Osmodel.Kernel.wake t.kern th
+    Osmodel.Kernel.wake t.core.kern th
   done
 
 (* Crash/restart lifecycle. A killed Linux service gives the client NO
@@ -220,7 +173,7 @@ let service_rt_by_id t ~service_id =
   let found = ref None in
   Hashtbl.iter
     (fun _port rt ->
-      if rt.sspec.service.Rpc.Interface.service_id = service_id then
+      if Int.equal rt.sspec.service.Rpc.Interface.service_id service_id then
         found := Some rt)
     t.by_port;
   match !found with
@@ -232,16 +185,16 @@ let kill_service t ~service_id =
   let rt = service_rt_by_id t ~service_id in
   match rt.sproc with
   | Some proc when proc.Osmodel.Proc.alive ->
-      Obs.Metrics.incr t.m_kills;
-      Osmodel.Kernel.kill t.kern proc
+      Obs.Metrics.incr t.core.m_kills;
+      Osmodel.Kernel.kill t.core.kern proc
   | Some _ | None -> ()
 
 let restart_service t ~service_id =
   let rt = service_rt_by_id t ~service_id in
   match rt.sproc with
   | Some proc when not proc.Osmodel.Proc.alive ->
-      Obs.Metrics.incr t.m_respawns;
-      Osmodel.Kernel.respawn t.kern proc;
+      Obs.Metrics.incr t.core.m_respawns;
+      Osmodel.Kernel.respawn t.core.kern proc;
       (* Fresh threads; the socket and its backlog survived the crash,
          so queued datagrams are served first. *)
       spawn_server_threads t rt proc
@@ -251,68 +204,35 @@ let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
     ?nic_config ?(fault = Fault.Plan.none) ?metrics ?tracer ?sanitize
     ~services ~egress
     () =
-  if services = [] then invalid_arg "Linux_stack.create: no services";
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
+  if List.is_empty services then
+    invalid_arg "Linux_stack.create: no services";
+  let core =
+    Rx_core.create engine ~name:"linux" ~ncores ?kernel_costs ?metrics ?tracer
+      ~egress ()
   in
-  let metrics =
-    match metrics with Some m -> m | None -> Obs.Metrics.create ()
-  in
-  let tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
-  in
-  let t =
-    {
-      engine;
-      kern;
-      nic = None;
-      sw = sw_costs;
-      by_port = Hashtbl.create 64;
-      egress;
-      counters = Sim.Counter.group "linux";
-      metrics;
-      m_kills = Obs.Metrics.counter metrics "kills";
-      m_respawns = Obs.Metrics.counter metrics "respawns";
-      tracer;
-      trk = Obs.Tracer.track tracer "linux";
-    }
-  in
+  let t = { core; nic = None; sw = sw_costs; by_port = Hashtbl.create 64 } in
   let nic_config =
     match nic_config with Some c -> c | None -> Nic.Dma_nic.default_config
   in
   let dnic =
-    Nic.Dma_nic.create engine profile ~config:nic_config ~fault ~metrics
+    Nic.Dma_nic.create engine profile ~config:nic_config ~fault
+      ~metrics:core.metrics
       ~on_rx_interrupt:(fun ~queue -> on_rx_interrupt t ~queue)
       ()
   in
   t.nic <- Some dnic;
-  (match sanitize with
-  | None -> ()
-  | Some z ->
-      (* Buffers parked in un-consumed ring descriptors at cutoff are
-         accounted, not leaked. *)
-      ignore
-        (Sanitize.Pool_watch.attach z ~name:"linux-rx-pool"
-           ~in_flight:(fun () ->
-             let occ = ref 0 in
-             for q = 0 to nic_config.Nic.Dma_nic.nqueues - 1 do
-               occ := !occ + Nic.Ring.occupancy (Nic.Dma_nic.rx_ring dnic ~queue:q)
-             done;
-             !occ)
-           (Nic.Dma_nic.pool dnic)));
+  Rx_core.watch_rx_pool core sanitize dnic;
   List.iter
     (fun sspec ->
       let rt =
-        { sspec; socket = Osmodel.Socket.create kern (); sproc = None }
+        { sspec; socket = Osmodel.Socket.create core.kern (); sproc = None }
       in
       if Hashtbl.mem t.by_port sspec.port then
         invalid_arg
           (Printf.sprintf "Linux_stack.create: port %d taken" sspec.port);
       Hashtbl.add t.by_port sspec.port rt;
       let proc =
-        Osmodel.Kernel.new_process kern
+        Osmodel.Kernel.new_process core.kern
           ~name:sspec.service.Rpc.Interface.service_name
       in
       rt.sproc <- Some proc;
@@ -321,21 +241,13 @@ let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
   t
 
 let ingress t frame =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when w.Rpc.Wire_format.kind = Rpc.Wire_format.Request ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
-          ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok _ | Error _ -> ()
-  end;
+  Rx_core.trace_ingress t.core frame;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 
 let driver t =
-  Harness.Driver.make ~name:"linux"
+  Rx_core.driver t.core
     ~ingress:(fun f -> ingress t f)
-    ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
     ~describe:(fun () ->
       Printf.sprintf "linux(%d cores, %d services)"
-        (Osmodel.Kernel.ncores t.kern)
+        (Osmodel.Kernel.ncores t.core.kern)
         (Hashtbl.length t.by_port))
-    ()

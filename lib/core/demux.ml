@@ -1,7 +1,5 @@
 type entry = {
   service : Rpc.Interface.service_def;
-  pid : int;
-  endpoint : Endpoint.t;
   code_ptrs : int64 array;
   data_ptr : int64;
 }
@@ -15,19 +13,7 @@ let bind t ~port entry =
     invalid_arg (Printf.sprintf "Demux.bind: port %d already bound" port);
   Hashtbl.add t.by_port port entry
 
-let unbind t ~port = Hashtbl.remove t.by_port port
 let lookup t ~port = Hashtbl.find_opt t.by_port port
-
-let lookup_service t ~service_id =
-  Hashtbl.fold
-    (fun _ e acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if Int.equal e.service.Rpc.Interface.service_id service_id then
-            Some e
-          else None)
-    t.by_port None
 
 let port_of_service t ~service_id =
   Hashtbl.fold
@@ -39,10 +25,6 @@ let port_of_service t ~service_id =
             Some port
           else None)
     t.by_port None
-
-let entries t =
-  Hashtbl.fold (fun port e acc -> (port, e) :: acc) t.by_port []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let code_ptr e ~method_id =
   if method_id < 0 || method_id >= Array.length e.code_ptrs then

@@ -55,24 +55,16 @@ type remote = {
 }
 
 type t = {
-  engine : Sim.Engine.t;
-  cfg : Config.t;
-  kern : Osmodel.Kernel.t;
-  ha : Coherence.Home_agent.t;
+  core : Rx_core.t;
+  cc : Rx_core.ccnic;
   smirror : Sched_mirror.t;
   dmx : Demux.t;
   sched : Nic_sched.t;
-  egress : Net.Frame.t -> unit;
-  counters : Sim.Counter.group;
   inflight : (int64, inflight) Hashtbl.t;
   services : (int, service_rt) Hashtbl.t;
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
   telemetry : Telemetry.t;
-  metrics : Obs.Metrics.t;
-  tracer : Obs.Tracer.t;
-  trk : int;  (* span track for the rpc stage chain *)
-  trk_detail : int;  (* span track for NIC pipeline sub-intervals *)
   fault_active : bool;
       (* fault plan present: feed fault/recovery events into telemetry
          (fault-free runs record nothing, keeping reports unchanged) *)
@@ -85,27 +77,17 @@ type t = {
   mutable mac : Nic.Mac.t option;
   mutable handled_hook : (unit -> unit) option;
       (* per-handled-RPC callback (server fault injector) *)
-  (* Robustness counters — on the metrics registry, whose export drops
-     zero entries, so fault-free/shed-off reports are unchanged. *)
-  m_kills : Obs.Metrics.counter;
-  m_respawns : Obs.Metrics.counter;
-  m_stale : Obs.Metrics.counter;  (* stale_dispatch_caught *)
-  m_crash_nacks : Obs.Metrics.counter;
-  m_requeues : Obs.Metrics.counter;
+  (* Shedding counters — on the metrics registry, whose export drops
+     zero entries, so shed-off reports are unchanged. *)
   m_sheds : Obs.Metrics.counter;
-  m_drop_full : Obs.Metrics.counter;
   m_drop_shed : Obs.Metrics.counter;
-  sanitize : Sanitize.t option;
   mutable mwatch : Sanitize.Mirror_watch.watch option;
       (* installed after [t] exists (its closures render [t]'s state) *)
 }
 
-let kernel t = t.kern
-let home_agent t = t.ha
-let mirror t = t.smirror
-let counters t = t.counters
-let config t = t.cfg
-let sanitizer t = t.sanitize
+let kernel t = t.core.kern
+let home_agent t = t.cc.ha
+let counters t = t.core.counters
 
 (* Sanitizer probe at the moment a request is handed to a worker
    endpoint: the mirror must still believe the target pid alive —
@@ -119,42 +101,11 @@ let sanitize_dispatch t sv =
       Sanitize.Mirror_watch.dispatch mw ~pid
         ~alive:(Sched_mirror.pid_alive t.smirror ~pid)
 
-let ctr t name = Sim.Counter.counter t.counters name
-
 let emit t ~cat f =
   match t.trace with
-  | Some trace -> Sim.Trace.emit trace ~time:(Sim.Engine.now t.engine) ~cat f
+  | Some trace ->
+      Sim.Trace.emit trace ~time:(Sim.Engine.now t.core.engine) ~cat f
   | None -> ()
-
-(* Close the stage running since this RPC's cursor at the current sim
-   time. One branch when the tracer is disabled. *)
-let span_stage t ~rpc name =
-  Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
-
-(* Detail spans decomposing the NIC pipeline stage, emitted at the
-   moment the pipeline completes (they reach back from now). *)
-let pipeline_details t ~rpc (b : Pipeline.breakdown) ~decrypt =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    let stop = Sim.Engine.now t.engine in
-    let seg = ref (stop - b.Pipeline.total - decrypt) in
-    let detail name d =
-      if d > 0 then begin
-        Obs.Tracer.detail t.tracer ~rpc ~track:t.trk_detail ~name ~start:!seg
-          ~stop:(!seg + d);
-        seg := !seg + d
-      end
-    in
-    detail "parse" b.Pipeline.parse;
-    detail "demux" b.Pipeline.demux;
-    detail "hw_unmarshal" b.Pipeline.deser;
-    detail "sched_lookup" b.Pipeline.sched_lookup;
-    detail "decrypt" decrypt
-  end
-let prof t = t.cfg.Config.profile
-let line_bytes t = (prof t).Coherence.Interconnect.cache_line_bytes
-
-(* DRAM read cost for DMA-delivered payloads (≈25 GB/s streaming). *)
-let mem_read_cost bytes = 100 + (bytes / 25)
 
 (* Nested-call reply ids live in their own tag range so responses can
    be routed to the waiting worker instead of the wire. *)
@@ -184,28 +135,8 @@ let service_rt t service_id =
 let park_would_starve t th =
   match th.Osmodel.Proc.state with
   | Osmodel.Proc.Running cid ->
-      Osmodel.Kernel.runqueue_length t.kern ~core:cid > 0
+      Osmodel.Kernel.runqueue_length t.core.kern ~core:cid > 0
   | Osmodel.Proc.Ready | Osmodel.Proc.Blocked | Osmodel.Proc.Exited -> false
-
-let respond_line t w ~rpc_id ~status ~body =
-  let cap = Message.response_inline_capacity ~line_bytes:(line_bytes t) in
-  let inline_len = min cap (Bytes.length body) in
-  let rest = Bytes.length body - inline_len in
-  let resp_aux_count =
-    if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
-  in
-  let resp =
-    {
-      Message.resp_rpc_id = rpc_id;
-      status;
-      total_len = Bytes.length body;
-      inline_body = Net.Slice.make body ~off:0 ~len:inline_len;
-      resp_aux_count;
-    }
-  in
-  Coherence.Home_agent.cpu_store t.ha
-    (Endpoint.ctrl_line w.wep w.cpu_idx)
-    (Message.encode_response ~line_bytes:(line_bytes t) resp)
 
 (* The identity of a stack with no configured address: the default
    server that [Harness.Traffic] addresses. *)
@@ -223,8 +154,8 @@ and park_worker t sv w =
      load is parked and later restarted, the fill completion must be
      judged against the thread that parked, not the respawned one. *)
   let th = w.wthread in
-  Osmodel.Kernel.stall_begin t.kern th;
-  Coherence.Home_agent.cpu_load t.ha
+  Osmodel.Kernel.stall_begin t.core.kern th;
+  Coherence.Home_agent.cpu_load t.cc.ha
     (Endpoint.ctrl_line w.wep w.cpu_idx)
     (fun fill ->
       if Osmodel.Proc.is_exited th then
@@ -232,7 +163,7 @@ and park_worker t sv w =
            the teardown sweep owns whatever this fill carried. *)
         ()
       else begin
-      Osmodel.Kernel.stall_end t.kern th;
+      Osmodel.Kernel.stall_end t.core.kern th;
       match fill with
       | Coherence.Home_agent.Tryagain -> worker_tryagain t sv w
       | Coherence.Home_agent.Data line -> (
@@ -241,18 +172,18 @@ and park_worker t sv w =
           | Ok (Message.Request r) -> worker_handle t sv w r
           | Ok (Message.Tryagain | Message.Retire | Message.Kernel_dispatch _)
           | Error _ ->
-              Sim.Counter.incr (ctr t "worker_bad_line");
+              Rx_core.count t.core "worker_bad_line";
               worker_loop t sv w ())
       end)
 
 and worker_tryagain t sv w =
-  Sim.Counter.incr (ctr t "worker_tryagain");
+  Rx_core.count t.core "worker_tryagain";
   emit t ~cat:"tryagain" (fun () ->
       Printf.sprintf "worker %s got TRYAGAIN (empty=%d)"
         w.wthread.Osmodel.Proc.tname (w.empty_cycles + 1));
   w.empty_cycles <- w.empty_cycles + 1;
   if
-    w.empty_cycles >= t.cfg.Config.tryagains_before_yield
+    w.empty_cycles >= t.cc.cfg.Config.tryagains_before_yield
     && sv.active_count > sv.sspec.min_workers
     (* A request may have raced into the endpoint between the TRYAGAIN
        decision on the NIC and this code running: never deactivate with
@@ -263,39 +194,39 @@ and worker_tryagain t sv w =
     (* Scale down: give the core back for good until re-dispatched. *)
     w.active <- false;
     sv.active_count <- sv.active_count - 1;
-    Sim.Counter.incr (ctr t "worker_deactivate");
-    Osmodel.Kernel.block t.kern w.wthread (fun () ->
+    Rx_core.count t.core "worker_deactivate";
+    Osmodel.Kernel.block t.core.kern w.wthread (fun () ->
         w.empty_cycles <- 0;
         worker_loop t sv w ())
   end
   else
     (* The paper's user-mode loop: a TRYAGAIN sends the process into
        the kernel (schedule()); it re-parks if nothing else runs. *)
-    Osmodel.Kernel.yield t.kern w.wthread (fun () -> worker_loop t sv w ())
+    Osmodel.Kernel.yield t.core.kern w.wthread (fun () ->
+        worker_loop t sv w ())
 
 and worker_handle t sv w (r : Message.request) =
   match Hashtbl.find_opt t.inflight r.Message.rpc_id with
   | None | Some (Dispatch_ack _) ->
-      Sim.Counter.incr (ctr t "worker_orphan_request");
+      Rx_core.count t.core "worker_orphan_request";
       worker_loop t sv w ()
   | Some (App app) ->
-      span_stage t ~rpc:r.Message.rpc_id "queue";
-      let dma_read =
-        if r.Message.via_dma then mem_read_cost r.Message.total_args else 0
-      in
-      let work = app.mdef.Rpc.Interface.handler_time + dma_read in
+      Rx_core.span t.core ~rpc:r.Message.rpc_id "queue";
       let finish result =
-        span_stage t ~rpc:r.Message.rpc_id "handler";
+        Rx_core.span t.core ~rpc:r.Message.rpc_id "handler";
         let body = Rpc.Codec.encode result in
         app.full_body <- body;
-        respond_line t w ~rpc_id:r.Message.rpc_id ~status:0 ~body;
+        Rx_core.respond_line t.cc w.wep ~idx:w.cpu_idx ~rpc_id:r.Message.rpc_id
+          ~status:0 ~body;
         w.cpu_idx <- 1 - w.cpu_idx;
-        Sim.Counter.incr (ctr t "rpcs_handled");
+        Rx_core.count t.core "rpcs_handled";
         (match t.handled_hook with Some f -> f () | None -> ());
         worker_loop t sv w ()
       in
-      Osmodel.Kernel.run_for t.kern w.wthread ~kind:Osmodel.Cpu_account.User
-        work (fun () ->
+      Osmodel.Kernel.run_for t.core.kern w.wthread
+        ~kind:Osmodel.Cpu_account.User
+        (Rx_core.handler_time app.mdef r)
+        (fun () ->
           match app.mdef.Rpc.Interface.nested with
           | None -> finish (app.mdef.Rpc.Interface.execute app.args)
           | Some h ->
@@ -332,8 +263,8 @@ and tx_emit t ~cont ~service_id ~method_id ~dst body =
     | Some mac -> Nic.Mac.rx mac frame
     | None -> invalid_arg "Stack: MAC not initialised"
   else begin
-    Sim.Counter.incr (ctr t "nested_remote_sends");
-    t.egress frame
+    Rx_core.count t.core "nested_remote_sends";
+    t.core.egress frame
   end
 
 (* NIC-side consumer of a worker's TX CONTROL lines: decode the stored
@@ -342,9 +273,9 @@ and on_tx_line t image =
   match Message.decode image with
   | Ok (Message.Request r) -> (
       match Demux.port_of_service t.dmx ~service_id:r.Message.service_id with
-      | None -> Sim.Counter.incr (ctr t "tx_line_no_service")
+      | None -> Rx_core.count t.core "tx_line_no_service"
       | Some port ->
-          Sim.Counter.incr (ctr t "tx_line_sends");
+          Rx_core.count t.core "tx_line_sends";
           let cont =
             match nested_cont_of r.Message.rpc_id with
             | Some c -> c
@@ -356,7 +287,7 @@ and on_tx_line t image =
             (Net.Slice.to_bytes r.Message.inline_args))
   | Ok (Message.Kernel_dispatch _ | Message.Tryagain | Message.Retire)
   | Error _ ->
-      Sim.Counter.incr (ctr t "tx_bad_line")
+      Rx_core.count t.core "tx_bad_line"
 
 (* Issue a nested RPC from a running worker: small requests go out
    through the worker's TX CONTROL lines (Figure 4's disjoint transmit
@@ -374,24 +305,24 @@ and nested_call t w ~service_id ~method_id v k =
   in
   match dst with
   | None ->
-      Sim.Counter.incr (ctr t "nested_no_service");
+      Rx_core.count t.core "nested_no_service";
       k Rpc.Value.Unit
   | Some dst ->
       let reply = ref Rpc.Value.Unit in
       let cont =
         Rpc.Continuation.alloc t.nested_conts (fun result ->
             reply := result;
-            Osmodel.Kernel.wake t.kern w.wthread)
+            Osmodel.Kernel.wake t.core.kern w.wthread)
       in
-      Sim.Counter.incr (ctr t "nested_calls");
+      Rx_core.count t.core "nested_calls";
       let body = Rpc.Codec.encode v in
       (match w.wtx with
       | Some wtx
-        when Bytes.length body <= Config.inline_capacity t.cfg
+        when Bytes.length body <= Config.inline_capacity t.cc.cfg
              && Net.Ip_addr.equal dst.Net.Frame.ip
                   (self_address t).Net.Frame.ip ->
           let image =
-            Message.encode ~line_bytes:(line_bytes t)
+            Message.encode ~line_bytes:(Rx_core.line_bytes t.cc)
               (Message.Request
                  {
                    Message.rpc_id = nested_rpc_id cont;
@@ -408,21 +339,21 @@ and nested_call t w ~service_id ~method_id v k =
           Tx_endpoint.cpu_send wtx image ~accepted:(fun () -> ())
       | Some _ | None ->
           tx_emit t ~cont ~service_id ~method_id ~dst body);
-      Osmodel.Kernel.block t.kern w.wthread (fun () -> k !reply)
+      Osmodel.Kernel.block t.core.kern w.wthread (fun () -> k !reply)
 
 let activate_worker t sv w =
   w.starting <- false;
   if Osmodel.Proc.is_exited w.wthread then
     (* An activation raced the kill: by the time the dispatcher ran the
        KERNEL_DISPATCH, the target process was dead. *)
-    Sim.Counter.incr (ctr t "dispatch_to_dead")
+    Rx_core.count t.core "dispatch_to_dead"
   else if not w.active then begin
     emit t ~cat:"activate" (fun () ->
         Printf.sprintf "worker %s activated" w.wthread.Osmodel.Proc.tname);
     w.active <- true;
     sv.active_count <- sv.active_count + 1;
-    Sim.Counter.incr (ctr t "worker_activate");
-    Osmodel.Kernel.wake t.kern w.wthread
+    Rx_core.count t.core "worker_activate";
+    Osmodel.Kernel.wake t.core.kern w.wthread
   end
 
 (* ---------- Dispatcher kernel threads (Figure 5 slow path) ----------- *)
@@ -432,20 +363,20 @@ let dispatch_handling_cost = Sim.Units.ns 300
 let rec dispatcher_loop t d idx () = park_dispatcher t d idx
 
 and park_dispatcher t d idx =
-  Osmodel.Kernel.stall_begin t.kern d.dthread;
-  Coherence.Home_agent.cpu_load t.ha
+  Osmodel.Kernel.stall_begin t.core.kern d.dthread;
+  Coherence.Home_agent.cpu_load t.cc.ha
     (Endpoint.ctrl_line d.dep idx)
     (fun fill ->
-      Osmodel.Kernel.stall_end t.kern d.dthread;
+      Osmodel.Kernel.stall_end t.core.kern d.dthread;
       match fill with
       | Coherence.Home_agent.Tryagain ->
           (* Periodic schedule() as a regular kernel thread. *)
-          Osmodel.Kernel.yield t.kern d.dthread (fun () ->
+          Osmodel.Kernel.yield t.core.kern d.dthread (fun () ->
               dispatcher_loop t d idx ())
       | Coherence.Home_agent.Data line -> (
           match Message.decode line with
           | Ok (Message.Kernel_dispatch r) ->
-              Osmodel.Kernel.run_for t.kern d.dthread
+              Osmodel.Kernel.run_for t.core.kern d.dthread
                 ~kind:Osmodel.Cpu_account.Kernel dispatch_handling_cost
                 (fun () ->
                   (match Hashtbl.find_opt t.inflight r.Message.rpc_id with
@@ -453,11 +384,12 @@ and park_dispatcher t d idx =
                       let sv = service_rt t svc_id in
                       activate_worker t sv sv.workers.(widx)
                   | Some (App _) | None ->
-                      Sim.Counter.incr (ctr t "dispatcher_orphan"));
+                      Rx_core.count t.core "dispatcher_orphan");
                   (* Follow the line protocol: ack into the same line,
                      then monitor the other one. *)
                   let ack =
-                    Message.encode_response ~line_bytes:(line_bytes t)
+                    Message.encode_response
+                      ~line_bytes:(Rx_core.line_bytes t.cc)
                       {
                         Message.resp_rpc_id = r.Message.rpc_id;
                         status = 0;
@@ -466,17 +398,17 @@ and park_dispatcher t d idx =
                         resp_aux_count = 0;
                       }
                   in
-                  Coherence.Home_agent.cpu_store t.ha
+                  Coherence.Home_agent.cpu_store t.cc.ha
                     (Endpoint.ctrl_line d.dep idx) ack;
-                  Osmodel.Kernel.yield t.kern d.dthread (fun () ->
+                  Osmodel.Kernel.yield t.core.kern d.dthread (fun () ->
                       dispatcher_loop t d (1 - idx) ()))
           | Ok Message.Retire ->
               (* Reallocation request: leave the CPU entirely. *)
-              Sim.Counter.incr (ctr t "dispatcher_retired");
-              Osmodel.Kernel.block t.kern d.dthread (fun () ->
+              Rx_core.count t.core "dispatcher_retired";
+              Osmodel.Kernel.block t.core.kern d.dthread (fun () ->
                   dispatcher_loop t d idx ())
           | Ok (Message.Request _ | Message.Tryagain) | Error _ ->
-              Sim.Counter.incr (ctr t "dispatcher_bad_line");
+              Rx_core.count t.core "dispatcher_bad_line";
               dispatcher_loop t d idx ()))
 
 let pick_dispatcher t =
@@ -497,7 +429,7 @@ let pick_dispatcher t =
 let request_worker_activation t sv w =
   if (not w.active) && not w.starting then begin
     match pick_dispatcher t with
-    | None -> Sim.Counter.incr (ctr t "dispatch_no_dispatcher")
+    | None -> Rx_core.count t.core "dispatch_no_dispatcher"
     | Some d ->
         w.starting <- true;
         let id = t.next_dispatch_id in
@@ -519,11 +451,11 @@ let request_worker_activation t sv w =
             via_dma = false;
           }
         in
-        Sim.Counter.incr (ctr t "slow_path_dispatch");
+        Rx_core.count t.core "slow_path_dispatch";
         if not (Endpoint.deliver ~kernel_dispatch:true d.dep msg) then begin
           Hashtbl.remove t.inflight id;
           w.starting <- false;
-          Sim.Counter.incr (ctr t "dispatch_dropped")
+          Rx_core.count t.core "dispatch_dropped"
         end
   end
 
@@ -567,113 +499,59 @@ let scale_decision t sv =
   Nic_sched.decide t.sched ~service ~queue_depth ~workers:sv.active_count
     ~handler_time
 
-let tx_mac_delay = Sim.Units.ns 200
-
-(* An explicit transport-level reject on the wire (Error_reply): the
-   client sees why its request did not complete instead of inferring a
-   silent drop from a timeout. *)
-let nack t ~rpc_id ~service_id ~src ~dst ~code =
-  let reply =
-    {
-      Rpc.Wire_format.rpc_id;
-      service_id;
-      method_id = 0;
-      kind = Rpc.Wire_format.Error_reply code;
-      ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id;
-      body = Bytes.empty;
-    }
-  in
-  let frame = Net.Frame.make ~src ~dst (Rpc.Wire_format.encode reply) in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:tx_mac_delay (fun () ->
-         Sim.Counter.incr (ctr t "tx_frames");
-         Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
-         t.egress frame))
-
 let dispatch_request t (entry : Demux.entry) frame
     (wire : Rpc.Wire_format.t) (mdef : Rpc.Interface.method_def) args =
-  let sv =
-    service_rt t entry.Demux.service.Rpc.Interface.service_id
-  in
+  let service_id = entry.Demux.service.Rpc.Interface.service_id in
+  let sv = service_rt t service_id in
   let rpc_id = wire.Rpc.Wire_format.rpc_id in
   if Hashtbl.mem t.inflight rpc_id then begin
-    Sim.Counter.incr (ctr t "duplicate_rpc_id");
+    Rx_core.count t.core "duplicate_rpc_id";
     if t.fault_active then Telemetry.incr_fault t.telemetry "duplicate_rpc_id"
   end
   else if not (Sched_mirror.pid_alive t.smirror ~pid:sv.sproc.Osmodel.Proc.pid)
   then begin
     (* The NIC believes the target process is dead (the death push has
        landed): refuse on the wire rather than dispatch to a corpse. *)
-    Obs.Metrics.incr t.m_crash_nacks;
+    Obs.Metrics.incr t.cc.m_crash_nacks;
     if t.fault_active then Telemetry.incr_fault t.telemetry "crash_nack";
-    nack t ~rpc_id
-      ~service_id:entry.Demux.service.Rpc.Interface.service_id
+    Rx_core.nack t.core ~rpc_id ~service_id
+      ~method_id:mdef.Rpc.Interface.method_id
       ~src:(Net.Frame.dst_endpoint frame) ~dst:(Net.Frame.src_endpoint frame)
       ~code:Rpc.Wire_format.err_dead
   end
   else begin
-    let body = wire.Rpc.Wire_format.body in
-    let arg_bytes = Bytes.length body in
-    let window = Config.endpoint_window t.cfg in
-    let via_dma =
-      arg_bytes > t.cfg.Config.dma_threshold || arg_bytes > window
-    in
-    let inline_cap = Config.inline_capacity t.cfg in
-    let inline_len = min inline_cap arg_bytes in
-    let aux_count =
-      if via_dma then 0
-      else
-        let rest = arg_bytes - inline_len in
-        if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
-    in
-    let msg =
-      {
-        Message.rpc_id;
-        service_id = entry.Demux.service.Rpc.Interface.service_id;
-        method_id = mdef.Rpc.Interface.method_id;
-        code_ptr =
-          Demux.code_ptr entry ~method_id:mdef.Rpc.Interface.method_id;
-        data_ptr = entry.Demux.data_ptr;
-        total_args = arg_bytes;
-        inline_args = Net.Slice.make body ~off:0 ~len:inline_len;
-        aux_count;
-        via_dma;
-      }
-    in
     (* With admission control armed the decision is taken once, before
        the arrival is accepted (so a Shed never occupies queue space);
        with it off, the decision is taken after delivery, exactly as
        the pre-admission-control stack did. *)
     let early_decision =
-      if t.cfg.Config.shed then Some (scale_decision t sv) else None
+      if t.cc.cfg.Config.shed then Some (scale_decision t sv) else None
     in
     match early_decision with
     | Some Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
         if t.fault_active then Telemetry.incr_fault t.telemetry "shed";
-        nack t ~rpc_id
-          ~service_id:entry.Demux.service.Rpc.Interface.service_id
+        Rx_core.nack t.core ~rpc_id ~service_id
+          ~method_id:mdef.Rpc.Interface.method_id
           ~src:(Net.Frame.dst_endpoint frame)
-          ~dst:(Net.Frame.src_endpoint frame)
-          ~code:Rpc.Wire_format.err_shed
+          ~dst:(Net.Frame.src_endpoint frame) ~code:Rpc.Wire_format.err_shed
     | Some (Nic_sched.Steady | Nic_sched.Add_worker | Nic_sched.Release_worker)
     | None ->
-    Nic_sched.on_arrival t.sched
-      ~service:entry.Demux.service.Rpc.Interface.service_id
-      ~now:(Sim.Engine.now t.engine);
+    Nic_sched.on_arrival t.sched ~service:service_id
+      ~now:(Sim.Engine.now t.core.engine);
     let w, path = choose_worker sv in
     Hashtbl.replace t.inflight rpc_id
       (App
          {
            mdef;
            args;
-           svc_id = entry.Demux.service.Rpc.Interface.service_id;
+           svc_id = service_id;
            reply_src = Net.Frame.dst_endpoint frame;
            reply_dst = Net.Frame.src_endpoint frame;
            full_body = Bytes.empty;
-           arrived = Sim.Engine.now t.engine;
-           arg_bytes;
+           arrived = Sim.Engine.now t.core.engine;
+           arg_bytes = Bytes.length wire.Rpc.Wire_format.body;
            path =
              (match path with
              | `Fast -> Telemetry.Fast
@@ -681,19 +559,20 @@ let dispatch_request t (entry : Demux.entry) frame
              | `Inactive -> Telemetry.Cold);
          });
     sanitize_dispatch t sv;
-    if Endpoint.deliver w.wep msg then begin
+    if Endpoint.deliver w.wep (Rx_core.control_request t.cc entry mdef wire)
+    then begin
       emit t ~cat:"dispatch" (fun () ->
-          Format.asprintf "rpc %Ld -> svc %d worker %d (%s)" rpc_id
-            entry.Demux.service.Rpc.Interface.service_id w.widx
+          Format.asprintf "rpc %Ld -> svc %d worker %d (%s)" rpc_id service_id
+            w.widx
             (match path with
             | `Fast -> "fast"
             | `Queued -> "queued"
             | `Inactive -> "cold"));
       (match path with
-      | `Fast -> Sim.Counter.incr (ctr t "fast_path")
-      | `Queued -> Sim.Counter.incr (ctr t "queued_path")
+      | `Fast -> Rx_core.count t.core "fast_path"
+      | `Queued -> Rx_core.count t.core "queued_path"
       | `Inactive ->
-          Sim.Counter.incr (ctr t "cold_path");
+          Rx_core.count t.core "cold_path";
           request_worker_activation t sv w);
       (* NIC-driven scale-up when queues build. *)
       let decision =
@@ -715,176 +594,135 @@ let dispatch_request t (entry : Demux.entry) frame
     end
     else begin
       Hashtbl.remove t.inflight rpc_id;
-      Sim.Counter.incr (ctr t "nic_queue_drop");
-      Obs.Metrics.incr t.m_drop_full;
+      Rx_core.count t.core "nic_queue_drop";
+      Obs.Metrics.incr t.cc.m_drop_full;
       if t.fault_active then Telemetry.incr_fault t.telemetry "nic_queue_drop"
     end
   end
 
+(* A response from a remote machine to one of our nested calls. *)
+let nested_remote_reply t (wire : Rpc.Wire_format.t) =
+  match nested_cont_of wire.Rpc.Wire_format.rpc_id with
+  | Some cont -> (
+      match Hashtbl.find_opt t.remotes wire.Rpc.Wire_format.service_id with
+      | Some r -> (
+          match
+            Rpc.Codec.decode r.response_schema wire.Rpc.Wire_format.body
+          with
+          | Ok v ->
+              Rx_core.count t.core "nested_remote_replies";
+              if not (Rpc.Continuation.fire t.nested_conts cont v) then
+                Rx_core.count t.core "nested_orphan_reply"
+          | Error _ -> Rx_core.count t.core "nested_bad_reply")
+      | None -> Rx_core.count t.core "rx_stray_response")
+  | None -> Rx_core.count t.core "rx_stray_response"
+
 let nic_rx t frame =
-  Sim.Counter.incr (ctr t "rx_frames");
+  Rx_core.count t.core "rx_frames";
   emit t ~cat:"rx" (fun () ->
       Format.asprintf "frame %a" Net.Udp.pp frame.Net.Frame.udp);
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
+  match Rx_core.header frame with
   | Error _ ->
-      Sim.Counter.incr (ctr t "rx_bad_rpc");
+      Rx_core.drop t.core Rx_core.Bad_rpc;
       if t.fault_active then Telemetry.incr_fault t.telemetry "rx_bad_rpc"
-  | Ok wire
-    when not (Rpc.Wire_format.is_request wire) -> (
-      (* A response from a remote machine to one of our nested calls. *)
-      match nested_cont_of wire.Rpc.Wire_format.rpc_id with
-      | Some cont -> (
-          match
-            Hashtbl.find_opt t.remotes wire.Rpc.Wire_format.service_id
-          with
-          | Some r -> (
-              match
-                Rpc.Codec.decode r.response_schema wire.Rpc.Wire_format.body
-              with
-              | Ok v ->
-                  Sim.Counter.incr (ctr t "nested_remote_replies");
-                  if not (Rpc.Continuation.fire t.nested_conts cont v) then
-                    Sim.Counter.incr (ctr t "nested_orphan_reply")
-              | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
-          | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
-      | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
+  | Ok wire when not (Rpc.Wire_format.is_request wire) ->
+      nested_remote_reply t wire
   | Ok wire -> (
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
+      Rx_core.span t.core ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
       match Demux.lookup t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
-      | None -> Sim.Counter.incr (ctr t "rx_no_service")
+      | None -> Rx_core.drop t.core Rx_core.No_service
       | Some entry -> (
-          match
-            Rpc.Interface.find_method entry.Demux.service
-              wire.Rpc.Wire_format.method_id
-          with
-          | None -> Sim.Counter.incr (ctr t "rx_no_method")
-          | Some mdef -> (
-              match
-                Rpc.Codec.decode mdef.Rpc.Interface.request
-                  wire.Rpc.Wire_format.body
-              with
-              | Error _ -> Sim.Counter.incr (ctr t "rx_bad_args")
-              | Ok args ->
-                  let breakdown =
-                    Pipeline.rx t.cfg
-                      ~sched_lookup:(Sched_mirror.lookup_cost t.smirror)
-                      ~fields:(Rpc.Value.field_count args)
-                      ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
-                  in
-                  let decrypt =
-                    if t.cfg.Config.encrypt then
-                      Crypto.cost Crypto.aes_gcm_nic
-                        ~bytes:(Net.Frame.wire_size frame)
-                    else 0
-                  in
-                  ignore
-                    (Sim.Engine.schedule_after t.engine
-                       ~after:(breakdown.Pipeline.total + decrypt)
-                       (fun () ->
-                         pipeline_details t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           breakdown ~decrypt;
-                         span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           "nic_pipeline";
-                         dispatch_request t entry frame wire mdef args)))))
+          match Rx_core.classify entry.Demux.service wire with
+          | Rx_core.Reject r -> Rx_core.drop t.core r
+          | Rx_core.Call (mdef, args) ->
+              let breakdown =
+                Pipeline.rx t.cc.cfg
+                  ~sched_lookup:(Sched_mirror.lookup_cost t.smirror)
+                  ~fields:(Rpc.Value.field_count args)
+                  ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
+              in
+              let decrypt =
+                if t.cc.cfg.Config.encrypt then
+                  Crypto.cost Crypto.aes_gcm_nic
+                    ~bytes:(Net.Frame.wire_size frame)
+                else 0
+              in
+              ignore
+                (Sim.Engine.schedule_after t.core.engine
+                   ~after:(breakdown.Pipeline.total + decrypt)
+                   (fun () ->
+                     let rpc = wire.Rpc.Wire_format.rpc_id in
+                     Rx_core.pipeline_details t.core t.cc ~rpc breakdown
+                       ~decrypt;
+                     Rx_core.span t.core ~rpc "nic_pipeline";
+                     dispatch_request t entry frame wire mdef args))))
 
 (* ---------- Response collection and egress --------------------------- *)
 
 let on_endpoint_response t (resp : Message.response) =
-  match Hashtbl.find_opt t.inflight resp.Message.resp_rpc_id with
-  | None -> Sim.Counter.incr (ctr t "orphan_response")
-  | Some (Dispatch_ack _) ->
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id
+  let rpc = resp.Message.resp_rpc_id in
+  match Hashtbl.find_opt t.inflight rpc with
+  | None -> Rx_core.count t.core "orphan_response"
+  | Some (Dispatch_ack _) -> Hashtbl.remove t.inflight rpc
   | Some (App app)
-    when Option.is_some (nested_cont_of resp.Message.resp_rpc_id)
+    when Option.is_some (nested_cont_of rpc)
          && Net.Ip_addr.equal app.reply_dst.Net.Frame.ip
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
-      (match Demux.lookup t.dmx ~port:app.reply_src.Net.Frame.port with
-      | Some e ->
-          Nic_sched.on_complete t.sched
-            ~service:e.Demux.service.Rpc.Interface.service_id
-      | None -> ());
+      Hashtbl.remove t.inflight rpc;
+      Nic_sched.on_complete t.sched ~service:app.svc_id;
       let result =
         match
           Rpc.Codec.decode app.mdef.Rpc.Interface.response app.full_body
         with
         | Ok v -> v
         | Error _ ->
-            Sim.Counter.incr (ctr t "nested_bad_reply");
+            Rx_core.count t.core "nested_bad_reply";
             Rpc.Value.Unit
       in
       let cont =
-        match nested_cont_of resp.Message.resp_rpc_id with
-        | Some c -> c
-        | None -> assert false
+        match nested_cont_of rpc with Some c -> c | None -> assert false
       in
       (* Reply delivery to the waiting worker's reply end-point: one
          coherent fill. *)
       ignore
-        (Sim.Engine.schedule_after t.engine
-           ~after:(prof t).Coherence.Interconnect.load_response (fun () ->
+        (Sim.Engine.schedule_after t.core.engine
+           ~after:t.cc.cfg.Config.profile.Coherence.Interconnect.load_response
+           (fun () ->
              if not (Rpc.Continuation.fire t.nested_conts cont result) then
-               Sim.Counter.incr (ctr t "nested_orphan_reply")))
+               Rx_core.count t.core "nested_orphan_reply"))
   | Some (App app) ->
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
-      span_stage t ~rpc:resp.Message.resp_rpc_id "collect";
-      let service_id =
-        (* reply carries the same ids as the request *)
-        match Demux.lookup t.dmx ~port:app.reply_src.Net.Frame.port with
-        | Some e -> e.Demux.service.Rpc.Interface.service_id
-        | None -> -1
-      in
-      if service_id >= 0 then
-        Nic_sched.on_complete t.sched ~service:service_id;
+      Hashtbl.remove t.inflight rpc;
+      Rx_core.span t.core ~rpc "collect";
+      Nic_sched.on_complete t.sched ~service:app.svc_id;
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
-      let prefix_ok =
-        Net.Slice.is_prefix_of resp.Message.inline_body app.full_body
-      in
-      if not prefix_ok then Sim.Counter.incr (ctr t "response_corrupt");
-      if service_id >= 0 then
-        Telemetry.record t.telemetry ~service_id ~path:app.path
-          ~latency:(Sim.Engine.now t.engine - app.arrived)
-          ~bytes_in:app.arg_bytes
-          ~bytes_out:(Bytes.length app.full_body);
-      let reply =
-        {
-          Rpc.Wire_format.rpc_id = resp.Message.resp_rpc_id;
-          service_id = (if service_id >= 0 then service_id else 0);
-          method_id = 0;
-          kind =
-            (if resp.Message.status = 0 then Rpc.Wire_format.Response
-             else Rpc.Wire_format.Error_reply resp.Message.status);
-          ctx =
-            Obs.Tracer.context_of t.tracer ~rpc:resp.Message.resp_rpc_id;
-          body = app.full_body;
-        }
-      in
+      if not (Net.Slice.is_prefix_of resp.Message.inline_body app.full_body)
+      then Rx_core.count t.core "response_corrupt";
+      Telemetry.record t.telemetry ~service_id:app.svc_id ~path:app.path
+        ~latency:(Sim.Engine.now t.core.engine - app.arrived)
+        ~bytes_in:app.arg_bytes
+        ~bytes_out:(Bytes.length app.full_body);
       let frame =
-        Net.Frame.make ~src:app.reply_src ~dst:app.reply_dst
-          (Rpc.Wire_format.encode reply)
+        Rx_core.reply_frame ~src:app.reply_src ~dst:app.reply_dst ~rpc_id:rpc
+          ~service_id:app.svc_id ~method_id:app.mdef.Rpc.Interface.method_id
+          ~ctx:(Obs.Tracer.context_of t.core.tracer ~rpc)
+          (if resp.Message.status = 0 then Rpc.Wire_format.Response
+           else Rpc.Wire_format.Error_reply resp.Message.status)
+          app.full_body
       in
       emit t ~cat:"tx" (fun () ->
-          Format.asprintf "response %Ld (%dB body)"
-            resp.Message.resp_rpc_id
+          Format.asprintf "response %Ld (%dB body)" rpc
             (Bytes.length app.full_body));
       let encrypt =
-        if t.cfg.Config.encrypt then
-          Crypto.cost Crypto.aes_gcm_nic
-            ~bytes:(Net.Frame.wire_size frame)
+        if t.cc.cfg.Config.encrypt then
+          Crypto.cost Crypto.aes_gcm_nic ~bytes:(Net.Frame.wire_size frame)
         else 0
       in
-      ignore
-        (Sim.Engine.schedule_after t.engine ~after:(tx_mac_delay + encrypt)
-           (fun () ->
-             Sim.Counter.incr (ctr t "tx_frames");
-             span_stage t ~rpc:resp.Message.resp_rpc_id "tx";
-             Obs.Tracer.rpc_end t.tracer ~rpc:resp.Message.resp_rpc_id
-               (Sim.Engine.now t.engine);
-             t.egress frame))
+      Rx_core.send_response t.core ~rpc ~after:(Rx_core.tx_mac_delay + encrypt)
+        frame
 
 (* ---------- Crash/restart lifecycle ---------------------------------- *)
 
@@ -896,54 +734,38 @@ let on_endpoint_response t (resp : Message.response) =
    NACKed from the in-flight table — caught, never silently lost. *)
 let sweep_dead_service t sv =
   let sid = sv.sspec.service.Rpc.Interface.service_id in
-  let limbo_ids = Hashtbl.create 16 in
   Array.iter
     (fun w ->
-      List.iter
-        (fun ((msg : Message.request), _kernel_dispatch) ->
-          Hashtbl.replace limbo_ids msg.Message.rpc_id ();
-          Queue.add msg sv.limbo)
-        (Endpoint.reset w.wep);
       w.active <- false;
       w.starting <- false;
       w.empty_cycles <- 0)
     sv.workers;
   sv.active_count <- 0;
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun id entry ->
-      match entry with
-      | App { svc_id; reply_src; reply_dst; _ }
-        when Int.equal svc_id sid && not (Hashtbl.mem limbo_ids id) ->
-          doomed := (id, Some (reply_src, reply_dst)) :: !doomed
-      | Dispatch_ack d when Int.equal d.svc_id sid ->
-          doomed := (id, None) :: !doomed
-      | App _ | Dispatch_ack _ -> ())
-    t.inflight;
-  List.iter
-    (fun (id, entry) ->
-      Hashtbl.remove t.inflight id;
-      match entry with
-      | None -> ()  (* cold activation of a now-dead worker *)
-      | Some ((reply_src : Net.Frame.endpoint), (reply_dst : Net.Frame.endpoint))
-        -> (
-          Obs.Metrics.incr t.m_stale;
+  Rx_core.crash_sweep
+    (Array.map (fun w -> w.wep) sv.workers)
+    ~limbo:sv.limbo t.inflight
+    ~owned:(function
+      | App { svc_id; _ } | Dispatch_ack { svc_id; _ } -> Int.equal svc_id sid)
+    ~doom:(fun id -> function
+      | Dispatch_ack _ -> ()  (* cold activation of a now-dead worker *)
+      | App a -> (
+          Obs.Metrics.incr t.cc.m_stale;
           if t.fault_active then
             Telemetry.incr_fault t.telemetry "stale_dispatch_caught";
           Nic_sched.on_complete t.sched ~service:sid;
           match nested_cont_of id with
           | Some cont
-            when Net.Ip_addr.equal reply_dst.Net.Frame.ip
+            when Net.Ip_addr.equal a.reply_dst.Net.Frame.ip
                    (self_address t).Net.Frame.ip ->
               (* Hairpinned nested call into the dead service: unblock
                  the waiting caller rather than NACK our own wire. *)
               if
                 not (Rpc.Continuation.fire t.nested_conts cont Rpc.Value.Unit)
-              then Sim.Counter.incr (ctr t "nested_orphan_reply")
+              then Rx_core.count t.core "nested_orphan_reply"
           | Some _ | None ->
-              nack t ~rpc_id:id ~service_id:sid ~src:reply_src ~dst:reply_dst
-                ~code:Rpc.Wire_format.err_dead))
-    !doomed
+              Rx_core.nack t.core ~rpc_id:id ~service_id:sid
+                ~method_id:a.mdef.Rpc.Interface.method_id ~src:a.reply_src
+                ~dst:a.reply_dst ~code:Rpc.Wire_format.err_dead))
 
 (* Redeliver the crash survivors once the NIC learns the process is
    back. Their in-flight entries were retained, so client retransmits
@@ -951,25 +773,22 @@ let sweep_dead_service t sv =
    double-executing. *)
 let drain_limbo t sv =
   let sid = sv.sspec.service.Rpc.Interface.service_id in
-  while not (Queue.is_empty sv.limbo) do
-    let msg = Queue.pop sv.limbo in
-    let w, _path = choose_worker sv in
-    sanitize_dispatch t sv;
-    if Endpoint.deliver w.wep msg then begin
-      Obs.Metrics.incr t.m_requeues;
-      if t.fault_active then Telemetry.incr_fault t.telemetry "requeue"
-    end
-    else begin
-      Obs.Metrics.incr t.m_crash_nacks;
-      match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
+  Rx_core.redeliver t.cc sv.limbo
+    ~deliver:(fun msg ->
+      let w, _path = choose_worker sv in
+      sanitize_dispatch t sv;
+      let ok = Endpoint.deliver w.wep msg in
+      if ok && t.fault_active then Telemetry.incr_fault t.telemetry "requeue";
+      ok)
+    ~refuse:(fun id ->
+      match Hashtbl.find_opt t.inflight id with
       | Some (App a) ->
-          Hashtbl.remove t.inflight msg.Message.rpc_id;
+          Hashtbl.remove t.inflight id;
           Nic_sched.on_complete t.sched ~service:sid;
-          nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~src:a.reply_src
+          Rx_core.nack t.core ~rpc_id:id ~service_id:sid
+            ~method_id:a.mdef.Rpc.Interface.method_id ~src:a.reply_src
             ~dst:a.reply_dst ~code:Rpc.Wire_format.err_dead
-      | Some (Dispatch_ack _) | None -> ()
-    end
-  done
+      | Some (Dispatch_ack _) | None -> ())
 
 let kill_service t ~service_id =
   let sv = service_rt t service_id in
@@ -977,11 +796,11 @@ let kill_service t ~service_id =
     emit t ~cat:"crash" (fun () ->
         Printf.sprintf "service %d (%s) crashed" service_id
           sv.sproc.Osmodel.Proc.pname);
-    Obs.Metrics.incr t.m_kills;
+    Obs.Metrics.incr t.core.m_kills;
     if t.fault_active then Telemetry.incr_fault t.telemetry "kill";
     (* Kernel-side only. The NIC's mirror learns after the push lag;
        the teardown sweep runs when that push lands. *)
-    Osmodel.Kernel.kill t.kern sv.sproc
+    Osmodel.Kernel.kill t.core.kern sv.sproc
   end
 
 let restart_service t ~service_id =
@@ -990,8 +809,8 @@ let restart_service t ~service_id =
     emit t ~cat:"crash" (fun () ->
         Printf.sprintf "service %d (%s) restarted" service_id
           sv.sproc.Osmodel.Proc.pname);
-    Obs.Metrics.incr t.m_respawns;
-    Osmodel.Kernel.respawn t.kern sv.sproc;
+    Obs.Metrics.incr t.core.m_respawns;
+    Osmodel.Kernel.respawn t.core.kern sv.sproc;
     (* Fresh threads over the surviving endpoints (which the sweep left
        in their post-reset state: cur line 0, no credits consumed). *)
     Array.iter
@@ -999,7 +818,7 @@ let restart_service t ~service_id =
         Hashtbl.remove t.parked_eps w.wthread.Osmodel.Proc.tid;
         let name = w.wthread.Osmodel.Proc.tname in
         let th =
-          Osmodel.Kernel.spawn t.kern sv.sproc ~name (fun () ->
+          Osmodel.Kernel.spawn t.core.kern sv.sproc ~name (fun () ->
               worker_loop t sv w ())
         in
         w.wthread <- th;
@@ -1013,7 +832,7 @@ let restart_service t ~service_id =
     for i = 0 to sv.sspec.min_workers - 1 do
       sv.workers.(i).active <- true;
       sv.active_count <- sv.active_count + 1;
-      Osmodel.Kernel.wake t.kern sv.workers.(i).wthread
+      Osmodel.Kernel.wake t.core.kern sv.workers.(i).wthread
     done
   end
 
@@ -1021,16 +840,9 @@ let on_handled t f = t.handled_hook <- Some f
 
 (* ---------- Construction --------------------------------------------- *)
 
-(* Process-wide so every service across every simulated host gets a
-   distinct fake code page; atomic so stacks built for different
-   shards can never tear it. Shard setup runs on the coordinator in
-   shard order, so the assignment stays deterministic. *)
-let[@nondet_ok] next_code_ptr = Atomic.make 0x4000_0000
-
-let[@nondet_ok] fresh_code_ptrs n =
-  Array.init n (fun i ->
-      let base = Int64.of_int (Atomic.fetch_and_add next_code_ptr 0x1000) in
-      Int64.add base (Int64.of_int (i * 64)))
+(* Process-wide: every service on every simulated host gets its own
+   fake code pages (see [Rx_core.code_space]). *)
+let[@nondet_ok] code_space = Rx_core.code_space 0x4000_0000
 
 let create engine ~cfg ~ncores ?kernel_costs
     ?(mirror_mode = Sched_mirror.Push) ?(dispatchers = 2)
@@ -1038,67 +850,26 @@ let create engine ~cfg ~ncores ?kernel_costs
     () =
   if List.is_empty services then invalid_arg "Stack.create: no services";
   if dispatchers < 1 then invalid_arg "Stack.create: need a dispatcher";
-  let sanitize =
-    match sanitize with
-    | Some _ -> sanitize
-    | None ->
-        if cfg.Config.sanitize then Some (Sanitize.create engine) else None
+  let sanitize = Rx_core.sanitizer engine cfg sanitize in
+  let core =
+    Rx_core.create engine ~name:"lauberhorn" ~ncores ?kernel_costs ?metrics
+      ?tracer ~egress ()
   in
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
-  in
-  let stage_delay =
-    (* The coherence choke point: with probability [fill_delay] a fill
-       stays in flight for [fill_delay_ns] — longer than the TRYAGAIN
-       timeout means the worker recovers through a real dummy fill
-       while the data is still coming. *)
-    if fault.Fault.Plan.fill_delay > 0. then begin
-      let frng = Fault.Plan.derived_rng fault ~salt:21 in
-      Some
-        (fun () ->
-          if Sim.Rng.float frng < fault.Fault.Plan.fill_delay then
-            fault.Fault.Plan.fill_delay_ns
-          else 0)
-    end
-    else None
-  in
-  let ha =
-    Coherence.Home_agent.create engine cfg.Config.profile ?stage_delay
-      ~timeout:cfg.Config.tryagain_timeout ()
-  in
+  let cc = Rx_core.ccnic core cfg ~fault ~salt:21 ~sanitize in
+  let kern = core.Rx_core.kern and ha = cc.Rx_core.ha in
   let smirror = Sched_mirror.create ~mode:mirror_mode cfg.Config.profile kern in
-  let metrics =
-    match metrics with Some m -> m | None -> Obs.Metrics.create ()
-  in
-  let tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
-  in
-  Obs.Metrics.derive metrics "ha_delayed_fills" (fun () ->
-      Coherence.Home_agent.delayed_stages ha);
-  Obs.Metrics.derive metrics "ha_tryagains" (fun () ->
-      Coherence.Home_agent.tryagains ha);
   let t =
     {
-      engine;
-      cfg;
-      kern;
-      ha;
+      core;
+      cc;
       smirror;
       dmx = Demux.create ();
       sched = Nic_sched.create ~shed:cfg.Config.shed ();
-      egress;
-      counters = Sim.Counter.group "lauberhorn";
       inflight = Hashtbl.create 4096;
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
-      telemetry = Telemetry.create ~metrics ();
-      metrics;
-      tracer;
-      trk = Obs.Tracer.track tracer "lauberhorn";
-      trk_detail = Obs.Tracer.track tracer "nic-pipeline";
+      telemetry = Telemetry.create ~metrics:core.Rx_core.metrics ();
       fault_active = not (Fault.Plan.is_none fault);
       remotes = Hashtbl.create 16;
       address = None;
@@ -1107,22 +878,14 @@ let create engine ~cfg ~ncores ?kernel_costs
       next_dispatch_id = Int64.shift_left 1L 62;
       mac = None;
       handled_hook = None;
-      m_kills = Obs.Metrics.counter metrics "kills";
-      m_respawns = Obs.Metrics.counter metrics "respawns";
-      m_stale = Obs.Metrics.counter metrics "stale_dispatch_caught";
-      m_crash_nacks = Obs.Metrics.counter metrics "crash_nacks";
-      m_requeues = Obs.Metrics.counter metrics "requeues";
-      m_sheds = Obs.Metrics.counter metrics "sheds";
-      m_drop_full = Obs.Metrics.counter metrics "drop_full";
-      m_drop_shed = Obs.Metrics.counter metrics "drop_shed";
-      sanitize;
+      m_sheds = Obs.Metrics.counter core.Rx_core.metrics "sheds";
+      m_drop_shed = Obs.Metrics.counter core.Rx_core.metrics "drop_shed";
       mwatch = None;
     }
   in
   (match sanitize with
   | None -> ()
   | Some z ->
-      Sanitize.Coherence_watch.attach z ha;
       (* Render both sides of the scheduling state — per-core occupancy
          and per-service liveness — for the end-of-run convergence
          check. Compared only once no push is in flight. *)
@@ -1174,7 +937,7 @@ let create engine ~cfg ~ncores ?kernel_costs
     | Some get_thread ->
         Endpoint.set_on_parked ep (fun () ->
             if park_would_starve t (get_thread ()) then begin
-              Sim.Counter.incr (ctr t "park_self_kick");
+              Rx_core.count t.core "park_self_kick";
               Endpoint.kick ep
             end));
     ep
@@ -1262,24 +1025,11 @@ let create engine ~cfg ~ncores ?kernel_costs
             w)
       in
       sv.workers <- workers;
-      let code_ptrs =
-        fresh_code_ptrs
-          (List.fold_left
-             (fun acc m -> max acc (m.Rpc.Interface.method_id + 1))
-             1 svc.Rpc.Interface.methods)
-      in
-      let data_ptr =
-        Int64.of_int (0x7000_0000 + (sproc.Osmodel.Proc.pid * 0x10000))
-      in
       Hashtbl.replace t.services svc.Rpc.Interface.service_id sv;
-      Demux.bind t.dmx ~port:sspec.port
-        {
-          Demux.service = svc;
-          pid = sproc.Osmodel.Proc.pid;
-          endpoint = workers.(0).wep;
-          code_ptrs;
-          data_ptr;
-        };
+      Rx_core.bind_service t.dmx code_space ~port:sspec.port
+        ~data_ptr:
+          (Int64.of_int (0x7000_0000 + (sproc.Osmodel.Proc.pid * 0x10000)))
+        svc;
       (* Hot services start with min_workers already parked. *)
       for i = 0 to sspec.min_workers - 1 do
         workers.(i).active <- true;
@@ -1313,32 +1063,15 @@ let create engine ~cfg ~ncores ?kernel_costs
             Hashtbl.find_opt t.parked_eps occupant.Osmodel.Proc.tid
           with
           | Some ep when Endpoint.parked ep ->
-              Sim.Counter.incr (ctr t "preempt_kick");
+              Rx_core.count t.core "preempt_kick";
               Endpoint.kick ep
           | Some _ | None -> ()));
   (* The MAC front end. *)
-  let mac =
-    Nic.Mac.create engine ~sink:(fun f -> nic_rx t f) ()
-  in
-  t.mac <- Some mac;
+  t.mac <- Some (Nic.Mac.create engine ~sink:(fun f -> nic_rx t f) ());
   t
 
 let ingress t frame =
-  (* Tracing on: open the RPC's root span at the instant the request
-     frame hits the NIC — the same sim time the harness stamps
-     note_sent, so the root span IS the measured end-system latency.
-     The wire-format decode is only paid when tracing. *)
-  if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when Rpc.Wire_format.is_request w ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
-          ~track:t.trk (Sim.Engine.now t.engine);
-        (match w.Rpc.Wire_format.ctx with
-        | Some c ->
-            Obs.Tracer.set_context t.tracer ~rpc:w.Rpc.Wire_format.rpc_id c
-        | None -> ())
-    | Ok _ | Error _ -> ()
-  end;
+  Rx_core.trace_ingress t.core frame;
   match t.mac with
   | Some mac -> Nic.Mac.rx mac frame
   | None -> invalid_arg "Stack.ingress: MAC not initialised"
@@ -1346,8 +1079,8 @@ let ingress t frame =
 let active_workers t ~service_id = (service_rt t service_id).active_count
 
 let telemetry t = t.telemetry
-let metrics t = t.metrics
-let tracer t = t.tracer
+let metrics t = t.core.metrics
+let tracer t = t.core.tracer
 let attach_trace t trace = t.trace <- Some trace
 let set_address t address = t.address <- Some address
 
@@ -1362,7 +1095,7 @@ let retire_dispatcher t ~idx =
     invalid_arg "Stack.retire_dispatcher: no such dispatcher";
   let d = t.dispatchers.(idx) in
   let ok = Endpoint.retire d.dep in
-  if ok then Sim.Counter.incr (ctr t "dispatcher_retire_sent");
+  if ok then Rx_core.count t.core "dispatcher_retire_sent";
   ok
 
 let resume_dispatcher t ~idx =
@@ -1370,23 +1103,15 @@ let resume_dispatcher t ~idx =
     invalid_arg "Stack.resume_dispatcher: no such dispatcher";
   let d = t.dispatchers.(idx) in
   match d.dthread.Osmodel.Proc.state with
-  | Osmodel.Proc.Blocked -> Osmodel.Kernel.wake t.kern d.dthread
+  | Osmodel.Proc.Blocked -> Osmodel.Kernel.wake t.core.kern d.dthread
   | Osmodel.Proc.Ready | Osmodel.Proc.Running _ | Osmodel.Proc.Exited -> ()
 
-let endpoint_of t ~service_id ~worker =
-  let sv = service_rt t service_id in
-  if worker < 0 || worker >= Array.length sv.workers then
-    invalid_arg "Stack.endpoint_of: no such worker";
-  sv.workers.(worker).wep
-
 let driver t =
-  Harness.Driver.make ~name:"lauberhorn"
+  Rx_core.driver t.core
     ~ingress:(fun f -> ingress t f)
-    ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
     ~describe:(fun () ->
       Printf.sprintf "lauberhorn(%s, %d cores, timeout=%s)"
-        (prof t).Coherence.Interconnect.name
-        (Osmodel.Kernel.ncores t.kern)
+        t.cc.cfg.Config.profile.Coherence.Interconnect.name
+        (Osmodel.Kernel.ncores t.core.kern)
         (Format.asprintf "%a" Sim.Units.pp_duration
-           t.cfg.Config.tryagain_timeout))
-    ()
+           t.cc.cfg.Config.tryagain_timeout))

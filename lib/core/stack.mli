@@ -67,27 +67,18 @@ val create :
     discipline ({!Sanitize.Coherence_watch}) and scheduler-mirror
     convergence plus swept-pid dispatch checks
     ({!Sanitize.Mirror_watch}). When absent and [cfg.sanitize] is set,
-    the stack creates its own session (retrieve it with {!sanitizer}
-    and call {!Sanitize.finish} after the run). *)
+    the stack creates its own fail-fast session; pass one in to also
+    run the end-of-run checks with {!Sanitize.finish}. *)
 
 val ingress : t -> Net.Frame.t -> unit
 (** Connect as the wire's deliver callback. *)
 
 val kernel : t -> Osmodel.Kernel.t
 val home_agent : t -> Coherence.Home_agent.t
-val mirror : t -> Sched_mirror.t
-
-val sanitizer : t -> Sanitize.t option
-(** The attached sanitizer session, if any. *)
-
-
 val counters : t -> Sim.Counter.group
-val config : t -> Config.t
 
 val active_workers : t -> service_id:int -> int
 (** Currently active (scheduled or parked) workers of a service. *)
-
-val endpoint_of : t -> service_id:int -> worker:int -> Endpoint.t
 
 val telemetry : t -> Telemetry.t
 (** NIC-gathered per-service statistics (paper §6). *)

@@ -20,445 +20,242 @@ type worker = {
 }
 
 type t = {
-  engine : Sim.Engine.t;
-  cfg : Config.t;
-  kern : Osmodel.Kernel.t;
-  ha : Coherence.Home_agent.t;
+  core : Rx_core.t;
+  cc : Rx_core.ccnic;
   dmx : Demux.t;
-  egress : Net.Frame.t -> unit;
-  counters : Sim.Counter.group;
   inflight : (int64, inflight) Hashtbl.t;
   by_service : (int, worker) Hashtbl.t;
   core_map : (int, int) Hashtbl.t;
   dead : (int, unit) Hashtbl.t;  (* crashed service ids *)
-  metrics : Obs.Metrics.t;
-  m_kills : Obs.Metrics.counter;
-  m_respawns : Obs.Metrics.counter;
-  m_stale : Obs.Metrics.counter;
-  m_crash_nacks : Obs.Metrics.counter;
-  m_requeues : Obs.Metrics.counter;
-  m_drop_full : Obs.Metrics.counter;
-  tracer : Obs.Tracer.t;
-  trk : int;
-  trk_detail : int;
   mutable mac : Nic.Mac.t option;
 }
 
-let kernel t = t.kern
-let counters t = t.counters
-let metrics t = t.metrics
-let tracer t = t.tracer
-let ctr t name = Sim.Counter.counter t.counters name
-let prof t = t.cfg.Config.profile
-let line_bytes t = (prof t).Coherence.Interconnect.cache_line_bytes
-let mem_read_cost bytes = 100 + (bytes / 25)
-
-let span_stage t ~rpc name =
-  Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
-
-let pipeline_details t ~rpc (b : Pipeline.breakdown) =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    let stop = Sim.Engine.now t.engine in
-    let seg = ref (stop - b.Pipeline.total) in
-    let detail name d =
-      if d > 0 then begin
-        Obs.Tracer.detail t.tracer ~rpc ~track:t.trk_detail ~name ~start:!seg
-          ~stop:(!seg + d);
-        seg := !seg + d
-      end
-    in
-    detail "parse" b.Pipeline.parse;
-    detail "demux" b.Pipeline.demux;
-    detail "hw_unmarshal" b.Pipeline.deser
-  end
+let kernel t = t.core.kern
+let counters t = t.core.counters
+let metrics t = t.core.metrics
+let tracer t = t.core.tracer
 
 (* ---------- The pinned worker loop ---------- *)
-
-let respond_line t w ~rpc_id ~body =
-  let cap = Message.response_inline_capacity ~line_bytes:(line_bytes t) in
-  let inline_len = min cap (Bytes.length body) in
-  let rest = Bytes.length body - inline_len in
-  let resp_aux_count =
-    if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
-  in
-  Coherence.Home_agent.cpu_store t.ha
-    (Endpoint.ctrl_line w.wep w.cpu_idx)
-    (Message.encode_response ~line_bytes:(line_bytes t)
-       {
-         Message.resp_rpc_id = rpc_id;
-         status = 0;
-         total_len = Bytes.length body;
-         inline_body = Net.Slice.make body ~off:0 ~len:inline_len;
-         resp_aux_count;
-       })
 
 let rec worker_loop t w () =
   (* Bind the thread at park time: a fill completing after a kill must
      be judged against the thread that parked, not a respawned one. *)
   let th = w.wthread in
-  Osmodel.Kernel.stall_begin t.kern th;
-  Coherence.Home_agent.cpu_load t.ha
+  Osmodel.Kernel.stall_begin t.core.kern th;
+  Coherence.Home_agent.cpu_load t.cc.ha
     (Endpoint.ctrl_line w.wep w.cpu_idx)
     (fun fill ->
       if Osmodel.Proc.is_exited th then ()
       else begin
-      Osmodel.Kernel.stall_end t.kern th;
+      Osmodel.Kernel.stall_end t.core.kern th;
       match fill with
       | Coherence.Home_agent.Tryagain ->
           (* Share the core with any colocated pinned service: yield
              and come straight back. No retirement — the static world
              never gives the core up for good. *)
-          Osmodel.Kernel.yield t.kern w.wthread (fun () -> worker_loop t w ())
+          Osmodel.Kernel.yield t.core.kern w.wthread (fun () ->
+              worker_loop t w ())
       | Coherence.Home_agent.Data line -> (
           match Message.decode line with
           | Ok (Message.Request r) -> handle t w r
           | Ok (Message.Tryagain | Message.Retire | Message.Kernel_dispatch _)
           | Error _ ->
-              Sim.Counter.incr (ctr t "worker_bad_line");
+              Rx_core.count t.core "worker_bad_line";
               worker_loop t w ())
       end)
 
 and handle t w (r : Message.request) =
   match Hashtbl.find_opt t.inflight r.Message.rpc_id with
   | None ->
-      Sim.Counter.incr (ctr t "worker_orphan_request");
+      Rx_core.count t.core "worker_orphan_request";
       worker_loop t w ()
   | Some inf ->
-      span_stage t ~rpc:r.Message.rpc_id "queue";
-      let dma_read =
-        if r.Message.via_dma then mem_read_cost r.Message.total_args else 0
-      in
-      Osmodel.Kernel.run_for t.kern w.wthread ~kind:Osmodel.Cpu_account.User
-        (inf.mdef.Rpc.Interface.handler_time + dma_read) (fun () ->
-          span_stage t ~rpc:r.Message.rpc_id "handler";
+      Rx_core.span t.core ~rpc:r.Message.rpc_id "queue";
+      Osmodel.Kernel.run_for t.core.kern w.wthread
+        ~kind:Osmodel.Cpu_account.User (Rx_core.handler_time inf.mdef r)
+        (fun () ->
+          Rx_core.span t.core ~rpc:r.Message.rpc_id "handler";
           let result = inf.mdef.Rpc.Interface.execute inf.args in
           let body = Rpc.Codec.encode result in
           inf.full_body <- body;
-          respond_line t w ~rpc_id:r.Message.rpc_id ~body;
+          Rx_core.respond_line t.cc w.wep ~idx:w.cpu_idx
+            ~rpc_id:r.Message.rpc_id ~status:0 ~body;
           w.cpu_idx <- 1 - w.cpu_idx;
-          Sim.Counter.incr (ctr t "rpcs_handled");
+          Rx_core.count t.core "rpcs_handled";
           worker_loop t w ())
 
 (* ---------- NIC side ---------- *)
 
-let tx_mac_delay = Sim.Units.ns 200
-
 let on_endpoint_response t (resp : Message.response) =
-  match Hashtbl.find_opt t.inflight resp.Message.resp_rpc_id with
-  | None -> Sim.Counter.incr (ctr t "orphan_response")
+  let rpc = resp.Message.resp_rpc_id in
+  match Hashtbl.find_opt t.inflight rpc with
+  | None -> Rx_core.count t.core "orphan_response"
   | Some inf ->
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
-      span_stage t ~rpc:resp.Message.resp_rpc_id "collect";
-      let reply =
-        {
-          Rpc.Wire_format.rpc_id = resp.Message.resp_rpc_id;
-          service_id = 0;
-          method_id = inf.mdef.Rpc.Interface.method_id;
-          kind = Rpc.Wire_format.Response;
-          ctx =
-            Obs.Tracer.context_of t.tracer ~rpc:resp.Message.resp_rpc_id;
-          body = inf.full_body;
-        }
-      in
-      let frame =
-        Net.Frame.make ~src:inf.reply_src ~dst:inf.reply_dst
-          (Rpc.Wire_format.encode reply)
-      in
-      ignore
-        (Sim.Engine.schedule_after t.engine ~after:tx_mac_delay (fun () ->
-             Sim.Counter.incr (ctr t "tx_frames");
-             span_stage t ~rpc:resp.Message.resp_rpc_id "tx";
-             Obs.Tracer.rpc_end t.tracer ~rpc:resp.Message.resp_rpc_id
-               (Sim.Engine.now t.engine);
-             t.egress frame))
-
-(* Explicit transport-level reject (see Stack.nack). *)
-let nack t ~rpc_id ~service_id ~src ~dst ~code =
-  let reply =
-    {
-      Rpc.Wire_format.rpc_id;
-      service_id;
-      method_id = 0;
-      kind = Rpc.Wire_format.Error_reply code;
-      ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id;
-      body = Bytes.empty;
-    }
-  in
-  let frame = Net.Frame.make ~src ~dst (Rpc.Wire_format.encode reply) in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:tx_mac_delay (fun () ->
-         Sim.Counter.incr (ctr t "tx_frames");
-         Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
-         t.egress frame))
+      Hashtbl.remove t.inflight rpc;
+      Rx_core.span t.core ~rpc "collect";
+      Rx_core.send_response t.core ~rpc ~after:Rx_core.tx_mac_delay
+        (Rx_core.reply_frame ~src:inf.reply_src ~dst:inf.reply_dst ~rpc_id:rpc
+           ~service_id:inf.svc_id ~method_id:inf.mdef.Rpc.Interface.method_id
+           ~ctx:(Obs.Tracer.context_of t.core.tracer ~rpc)
+           Rpc.Wire_format.Response inf.full_body)
 
 let rec nic_rx t frame =
-  Sim.Counter.incr (ctr t "rx_frames");
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
-  | Error _ -> Sim.Counter.incr (ctr t "rx_bad_rpc")
+  Rx_core.count t.core "rx_frames";
+  match Rx_core.header frame with
+  | Error _ -> Rx_core.drop t.core Rx_core.Bad_rpc
   | Ok wire -> (
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
+      Rx_core.span t.core ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
       match Demux.lookup t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
-      | None -> Sim.Counter.incr (ctr t "rx_no_service")
+      | None -> Rx_core.drop t.core Rx_core.No_service
       | Some entry -> (
-          match
-            Rpc.Interface.find_method entry.Demux.service
-              wire.Rpc.Wire_format.method_id
-          with
-          | None -> Sim.Counter.incr (ctr t "rx_no_method")
-          | Some mdef -> (
-              match
-                Rpc.Codec.decode mdef.Rpc.Interface.request
-                  wire.Rpc.Wire_format.body
-              with
-              | Error _ -> Sim.Counter.incr (ctr t "rx_bad_args")
-              | Ok args ->
-                  (* No scheduling state to consult: static binding. *)
-                  let breakdown =
-                    Pipeline.rx t.cfg ~sched_lookup:0
-                      ~fields:(Rpc.Value.field_count args)
-                      ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
-                  in
-                  ignore
-                    (Sim.Engine.schedule_after t.engine
-                       ~after:breakdown.Pipeline.total (fun () ->
-                         pipeline_details t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           breakdown;
-                         span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           "nic_pipeline";
-                         dispatch t entry frame wire mdef args)))))
+          match Rx_core.classify entry.Demux.service wire with
+          | Rx_core.Reject r -> Rx_core.drop t.core r
+          | Rx_core.Call (mdef, args) ->
+              (* No scheduling state to consult: static binding. *)
+              let breakdown =
+                Pipeline.rx t.cc.cfg ~sched_lookup:0
+                  ~fields:(Rpc.Value.field_count args)
+                  ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
+              in
+              ignore
+                (Sim.Engine.schedule_after t.core.engine
+                   ~after:breakdown.Pipeline.total (fun () ->
+                     let rpc = wire.Rpc.Wire_format.rpc_id in
+                     Rx_core.pipeline_details t.core t.cc ~rpc breakdown
+                       ~decrypt:0;
+                     Rx_core.span t.core ~rpc "nic_pipeline";
+                     dispatch t entry frame wire mdef args))))
 
 and dispatch t (entry : Demux.entry) frame (wire : Rpc.Wire_format.t) mdef
     args =
   let rpc_id = wire.Rpc.Wire_format.rpc_id in
+  let service_id = entry.Demux.service.Rpc.Interface.service_id in
   if Hashtbl.mem t.inflight rpc_id then
-    Sim.Counter.incr (ctr t "duplicate_rpc_id")
-  else if Hashtbl.mem t.dead entry.Demux.service.Rpc.Interface.service_id
-  then begin
+    Rx_core.count t.core "duplicate_rpc_id"
+  else if Hashtbl.mem t.dead service_id then begin
     (* Statically-bound target is down: refuse on the wire. *)
-    Obs.Metrics.incr t.m_crash_nacks;
-    nack t ~rpc_id ~service_id:entry.Demux.service.Rpc.Interface.service_id
+    Obs.Metrics.incr t.cc.m_crash_nacks;
+    Rx_core.nack t.core ~rpc_id ~service_id
+      ~method_id:mdef.Rpc.Interface.method_id
       ~src:(Net.Frame.dst_endpoint frame) ~dst:(Net.Frame.src_endpoint frame)
       ~code:Rpc.Wire_format.err_dead
   end
   else begin
-    let body = wire.Rpc.Wire_format.body in
-    let arg_bytes = Bytes.length body in
-    let window = Config.endpoint_window t.cfg in
-    let via_dma =
-      arg_bytes > t.cfg.Config.dma_threshold || arg_bytes > window
-    in
-    let inline_cap = Config.inline_capacity t.cfg in
-    let inline_len = min inline_cap arg_bytes in
-    let aux_count =
-      if via_dma then 0
-      else
-        let rest = arg_bytes - inline_len in
-        if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
-    in
     Hashtbl.replace t.inflight rpc_id
       {
         mdef;
         args;
-        svc_id = entry.Demux.service.Rpc.Interface.service_id;
+        svc_id = service_id;
         reply_src = Net.Frame.dst_endpoint frame;
         reply_dst = Net.Frame.src_endpoint frame;
         full_body = Bytes.empty;
       };
-    let w =
-      Hashtbl.find t.by_service entry.Demux.service.Rpc.Interface.service_id
-    in
-    let msg =
-      {
-        Message.rpc_id;
-        service_id = entry.Demux.service.Rpc.Interface.service_id;
-        method_id = mdef.Rpc.Interface.method_id;
-        code_ptr =
-          Demux.code_ptr entry ~method_id:mdef.Rpc.Interface.method_id;
-        data_ptr = entry.Demux.data_ptr;
-        total_args = arg_bytes;
-        inline_args = Net.Slice.make body ~off:0 ~len:inline_len;
-        aux_count;
-        via_dma;
-      }
-    in
+    let w = Hashtbl.find t.by_service service_id in
+    let msg = Rx_core.control_request t.cc entry mdef wire in
     if not (Endpoint.deliver w.wep msg) then begin
       Hashtbl.remove t.inflight rpc_id;
-      Sim.Counter.incr (ctr t "nic_queue_drop");
-      Obs.Metrics.incr t.m_drop_full
+      Rx_core.count t.core "nic_queue_drop";
+      Obs.Metrics.incr t.cc.m_drop_full
     end
   end
 
 (* ---------- Crash/restart lifecycle ---------- *)
+
+let worker_of t ~service_id =
+  match Hashtbl.find_opt t.by_service service_id with
+  | Some w -> w
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Static_stack: unknown service %d" service_id)
 
 (* The ablation has no scheduler mirror, so there is no push lag to
    model: the kill both tears the process down and sweeps the NIC side
    in one step. NIC-SRAM survivors go to limbo for redelivery; staged
    requests are NACKed — never silently lost. *)
 let kill_service t ~service_id =
-  match Hashtbl.find_opt t.by_service service_id with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Static_stack: unknown service %d" service_id)
-  | Some w ->
-      let proc = w.wthread.Osmodel.Proc.proc in
-      if proc.Osmodel.Proc.alive then begin
-        Obs.Metrics.incr t.m_kills;
-        Osmodel.Kernel.kill t.kern proc;
-        Hashtbl.replace t.dead service_id ();
-        let limbo_ids = Hashtbl.create 16 in
-        List.iter
-          (fun ((msg : Message.request), _kd) ->
-            Hashtbl.replace limbo_ids msg.Message.rpc_id ();
-            Queue.add msg w.limbo)
-          (Endpoint.reset w.wep);
-        let doomed = ref [] in
-        Hashtbl.iter
-          (fun id (inf : inflight) ->
-            if
-              Int.equal inf.svc_id service_id
-              && not (Hashtbl.mem limbo_ids id)
-            then
-              doomed := (id, inf.reply_src, inf.reply_dst) :: !doomed)
-          t.inflight;
-        List.iter
-          (fun (id, reply_src, reply_dst) ->
-            Hashtbl.remove t.inflight id;
-            Obs.Metrics.incr t.m_stale;
-            nack t ~rpc_id:id ~service_id ~src:reply_src ~dst:reply_dst
-              ~code:Rpc.Wire_format.err_dead)
-          !doomed
-      end
+  let w = worker_of t ~service_id in
+  let proc = w.wthread.Osmodel.Proc.proc in
+  if proc.Osmodel.Proc.alive then begin
+    Obs.Metrics.incr t.core.m_kills;
+    Osmodel.Kernel.kill t.core.kern proc;
+    Hashtbl.replace t.dead service_id ();
+    Rx_core.crash_sweep [| w.wep |] ~limbo:w.limbo t.inflight
+      ~owned:(fun inf -> Int.equal inf.svc_id service_id)
+      ~doom:(fun id inf ->
+        Obs.Metrics.incr t.cc.m_stale;
+        Rx_core.nack t.core ~rpc_id:id ~service_id
+          ~method_id:inf.mdef.Rpc.Interface.method_id ~src:inf.reply_src
+          ~dst:inf.reply_dst ~code:Rpc.Wire_format.err_dead)
+  end
 
 let restart_service t ~service_id =
-  match Hashtbl.find_opt t.by_service service_id with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Static_stack: unknown service %d" service_id)
-  | Some w ->
-      let proc = w.wthread.Osmodel.Proc.proc in
-      if not proc.Osmodel.Proc.alive then begin
-        Obs.Metrics.incr t.m_respawns;
-        Osmodel.Kernel.respawn t.kern proc;
-        Hashtbl.remove t.dead service_id;
-        let name = w.wthread.Osmodel.Proc.tname in
-        let affinity =
-          match Hashtbl.find_opt t.core_map service_id with
-          | Some c -> c
-          | None -> 0
-        in
-        let th =
-          Osmodel.Kernel.spawn t.kern proc ~name ~affinity (fun () ->
-              worker_loop t w ())
-        in
-        w.wthread <- th;
-        w.cpu_idx <- 0;
-        Osmodel.Kernel.wake t.kern th;
-        (* Redeliver the crash survivors. *)
-        while not (Queue.is_empty w.limbo) do
-          let msg = Queue.pop w.limbo in
-          if Endpoint.deliver w.wep msg then Obs.Metrics.incr t.m_requeues
-          else begin
-            Obs.Metrics.incr t.m_crash_nacks;
-            match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
-            | Some inf ->
-                Hashtbl.remove t.inflight msg.Message.rpc_id;
-                nack t ~rpc_id:msg.Message.rpc_id ~service_id
-                  ~src:inf.reply_src ~dst:inf.reply_dst
-                  ~code:Rpc.Wire_format.err_dead
-            | None -> ()
-          end
-        done
-      end
+  let w = worker_of t ~service_id in
+  let proc = w.wthread.Osmodel.Proc.proc in
+  if not proc.Osmodel.Proc.alive then begin
+    Obs.Metrics.incr t.core.m_respawns;
+    Osmodel.Kernel.respawn t.core.kern proc;
+    Hashtbl.remove t.dead service_id;
+    let name = w.wthread.Osmodel.Proc.tname in
+    let affinity =
+      match Hashtbl.find_opt t.core_map service_id with
+      | Some c -> c
+      | None -> 0
+    in
+    let th =
+      Osmodel.Kernel.spawn t.core.kern proc ~name ~affinity (fun () ->
+          worker_loop t w ())
+    in
+    w.wthread <- th;
+    w.cpu_idx <- 0;
+    Osmodel.Kernel.wake t.core.kern th;
+    Rx_core.redeliver t.cc w.limbo ~deliver:(Endpoint.deliver w.wep)
+      ~refuse:(fun id ->
+        match Hashtbl.find_opt t.inflight id with
+        | Some inf ->
+            Hashtbl.remove t.inflight id;
+            Rx_core.nack t.core ~rpc_id:id ~service_id
+              ~method_id:inf.mdef.Rpc.Interface.method_id ~src:inf.reply_src
+              ~dst:inf.reply_dst ~code:Rpc.Wire_format.err_dead
+        | None -> ())
+  end
 
 (* ---------- Construction ---------- *)
 
-(* Atomic for the same reason as [Stack.next_code_ptr]: shard-safe,
-   still deterministic because shard setup is coordinator-sequential. *)
-let[@nondet_ok] next_code_ptr = Atomic.make 0x5000_0000
-
-let[@nondet_ok] fresh_code_ptrs n =
-  Array.init n (fun i ->
-      let base = Int64.of_int (Atomic.fetch_and_add next_code_ptr 0x1000) in
-      Int64.add base (Int64.of_int (i * 64)))
+(* Process-wide, like Stack's, from a base of its own. *)
+let[@nondet_ok] code_space = Rx_core.code_space 0x5000_0000
 
 let create engine ~cfg ~ncores ?kernel_costs ?(fault = Fault.Plan.none)
     ?metrics ?tracer ?sanitize ~services ~egress () =
   if List.is_empty services then
     invalid_arg "Static_stack.create: no services";
-  let sanitize =
-    match sanitize with
-    | Some _ -> sanitize
-    | None ->
-        if cfg.Config.sanitize then Some (Sanitize.create engine) else None
+  let sanitize = Rx_core.sanitizer engine cfg sanitize in
+  let core =
+    Rx_core.create engine ~name:"ccnic-static" ~ncores ?kernel_costs ?metrics
+      ?tracer ~egress ()
   in
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
-  in
-  let stage_delay =
-    if fault.Fault.Plan.fill_delay > 0. then begin
-      let frng = Fault.Plan.derived_rng fault ~salt:22 in
-      Some
-        (fun () ->
-          if Sim.Rng.float frng < fault.Fault.Plan.fill_delay then
-            fault.Fault.Plan.fill_delay_ns
-          else 0)
-    end
-    else None
-  in
-  let ha =
-    Coherence.Home_agent.create engine cfg.Config.profile ?stage_delay
-      ~timeout:cfg.Config.tryagain_timeout ()
-  in
-  let metrics =
-    match metrics with Some m -> m | None -> Obs.Metrics.create ()
-  in
-  let tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
-  in
-  Obs.Metrics.derive metrics "ha_delayed_fills" (fun () ->
-      Coherence.Home_agent.delayed_stages ha);
-  Obs.Metrics.derive metrics "ha_tryagains" (fun () ->
-      Coherence.Home_agent.tryagains ha);
-  (match sanitize with
-  | None -> ()
-  | Some z -> Sanitize.Coherence_watch.attach z ha);
+  let cc = Rx_core.ccnic core cfg ~fault ~salt:22 ~sanitize in
   let t =
     {
-      engine;
-      cfg;
-      kern;
-      ha;
+      core;
+      cc;
       dmx = Demux.create ();
-      egress;
-      counters = Sim.Counter.group "ccnic-static";
       inflight = Hashtbl.create 4096;
       by_service = Hashtbl.create 32;
       core_map = Hashtbl.create 32;
       dead = Hashtbl.create 8;
-      metrics;
-      m_kills = Obs.Metrics.counter metrics "kills";
-      m_respawns = Obs.Metrics.counter metrics "respawns";
-      m_stale = Obs.Metrics.counter metrics "stale_dispatch_caught";
-      m_crash_nacks = Obs.Metrics.counter metrics "crash_nacks";
-      m_requeues = Obs.Metrics.counter metrics "requeues";
-      m_drop_full = Obs.Metrics.counter metrics "drop_full";
-      tracer;
-      trk = Obs.Tracer.track tracer "ccnic-static";
-      trk_detail = Obs.Tracer.track tracer "nic-pipeline";
       mac = None;
     }
   in
   List.iteri
     (fun i sspec ->
       let svc = sspec.service in
-      let core = i mod ncores in
+      let cpu = i mod ncores in
       let proc =
-        Osmodel.Kernel.new_process kern ~name:svc.Rpc.Interface.service_name
+        Osmodel.Kernel.new_process core.kern
+          ~name:svc.Rpc.Interface.service_name
       in
       let wep =
-        Endpoint.create ha cfg ~id:i
+        Endpoint.create cc.ha cfg ~id:i
           ~on_response:(fun r -> on_endpoint_response t r)
           ()
       in
@@ -469,64 +266,33 @@ let create engine ~cfg ~ncores ?kernel_costs ?(fault = Fault.Plan.none)
         | None -> assert false
       in
       let wthread =
-        Osmodel.Kernel.spawn kern proc
+        Osmodel.Kernel.spawn core.kern proc
           ~name:(svc.Rpc.Interface.service_name ^ "-pinned")
-          ~affinity:core body
+          ~affinity:cpu body
       in
       let w = { wthread; wep; cpu_idx = 0; limbo = Queue.create () } in
       w_ref := Some w;
       Hashtbl.replace t.by_service svc.Rpc.Interface.service_id w;
-      Hashtbl.replace t.core_map svc.Rpc.Interface.service_id core;
-      let code_ptrs =
-        fresh_code_ptrs
-          (List.fold_left
-             (fun acc m -> max acc (m.Rpc.Interface.method_id + 1))
-             1 svc.Rpc.Interface.methods)
-      in
-      Demux.bind t.dmx ~port:sspec.port
-        {
-          Demux.service = svc;
-          pid = proc.Osmodel.Proc.pid;
-          endpoint = wep;
-          code_ptrs;
-          data_ptr = Int64.of_int (0x7800_0000 + (i * 0x10000));
-        };
-      Osmodel.Kernel.wake kern wthread)
+      Hashtbl.replace t.core_map svc.Rpc.Interface.service_id cpu;
+      Rx_core.bind_service t.dmx code_space ~port:sspec.port
+        ~data_ptr:(Int64.of_int (0x7800_0000 + (i * 0x10000)))
+        svc;
+      Osmodel.Kernel.wake core.kern wthread)
     services;
-  let mac = Nic.Mac.create engine ~sink:(fun f -> nic_rx t f) () in
-  t.mac <- Some mac;
+  t.mac <- Some (Nic.Mac.create engine ~sink:(fun f -> nic_rx t f) ());
   t
 
 let ingress t frame =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when Rpc.Wire_format.is_request w ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
-          ~track:t.trk (Sim.Engine.now t.engine);
-        (match w.Rpc.Wire_format.ctx with
-        | Some c ->
-            Obs.Tracer.set_context t.tracer ~rpc:w.Rpc.Wire_format.rpc_id c
-        | None -> ())
-    | Ok _ | Error _ -> ()
-  end;
+  Rx_core.trace_ingress t.core frame;
   match t.mac with
   | Some mac -> Nic.Mac.rx mac frame
   | None -> invalid_arg "Static_stack.ingress: MAC not initialised"
 
-let core_of_service t ~service_id =
-  match Hashtbl.find_opt t.core_map service_id with
-  | Some c -> c
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Static_stack: unknown service %d" service_id)
-
 let driver t =
-  Harness.Driver.make ~name:"ccnic-static"
+  Rx_core.driver t.core
     ~ingress:(fun f -> ingress t f)
-    ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
     ~describe:(fun () ->
       Printf.sprintf "ccnic-static(%s, %d cores, %d services)"
-        (prof t).Coherence.Interconnect.name
-        (Osmodel.Kernel.ncores t.kern)
+        t.cc.cfg.Config.profile.Coherence.Interconnect.name
+        (Osmodel.Kernel.ncores t.core.kern)
         (Hashtbl.length t.by_service))
-    ()

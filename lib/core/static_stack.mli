@@ -50,7 +50,6 @@ val kernel : t -> Osmodel.Kernel.t
 val counters : t -> Sim.Counter.group
 val metrics : t -> Obs.Metrics.t
 val tracer : t -> Obs.Tracer.t
-val core_of_service : t -> service_id:int -> int
 
 val kill_service : t -> service_id:int -> unit
 (** Crash the service's pinned process. With no scheduler mirror in

@@ -27,8 +27,13 @@ let service ~id ~name methods =
     invalid_arg ("Interface.service: duplicate method ids in " ^ name);
   { service_id = id; service_name = name; methods }
 
-let find_method s id =
-  List.find_opt (fun m -> m.method_id = id) s.methods
+(* Top-level, so a lookup allocates only its [Some]: it runs once per
+   received RPC. *)
+let rec find_in id = function
+  | [] -> None
+  | m :: rest -> if Int.equal m.method_id id then Some m else find_in id rest
+
+let find_method s id = find_in id s.methods
 
 let method_def ~id ~name ~request ~response ?(handler_time = Sim.Units.ns 500)
     ?nested execute =

@@ -317,6 +317,113 @@ let test_lossy_runs_complete () =
         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
     ]
 
+(* ---------- The shared receive-path core, on every stack ---------- *)
+
+let all_flavours =
+  [
+    Experiments.Common.Lauberhorn
+      (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
+    Experiments.Common.Static Lauberhorn.Config.enzian;
+    Experiments.Common.Linux Coherence.Interconnect.pcie_enzian;
+    Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
+  ]
+
+(* One kv service (id 1) on port 7000. *)
+let kv_server flavour ~egress =
+  let engine = Sim.Engine.create () in
+  let setup =
+    {
+      Workload.Scenario.defs = [ Rpc.Interface.kv_service ~id:1 () ];
+      ports = [| 7000 |];
+    }
+  in
+  Experiments.Common.make_server ~ncores:4 ~engine ~egress flavour setup
+
+(* A reply carries its request's service and method ids, so a client
+   that picks the reply schema by (service, method) decodes a [put]
+   (method 1) as [()] on every stack. *)
+let test_reply_echoes_request_ids () =
+  List.iter
+    (fun flavour ->
+      let name = Experiments.Common.flavour_name flavour in
+      let client = ref None in
+      let server =
+        kv_server flavour ~egress:(fun f ->
+            Option.iter (fun c -> Harness.Client.on_reply c f) !client)
+      in
+      let engine = server.Experiments.Common.engine in
+      let c =
+        Harness.Client.create engine
+          ~send:server.Experiments.Common.driver.Harness.Driver.ingress ()
+      in
+      client := Some c;
+      Harness.Client.expect c ~service_id:1 ~method_id:1 Rpc.Schema.Unit;
+      let got = ref None in
+      ignore
+        (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
+             Harness.Client.call c ~service_id:1 ~method_id:1 ~port:7000
+               (Rpc.Value.Tuple
+                  [ Rpc.Value.Str "k"; Rpc.Value.Blob (Bytes.of_string "v") ])
+               (fun v -> got := Some v)));
+      Sim.Engine.run engine ~until:(Sim.Units.ms 2);
+      checki (name ^ ": no client errors") 0 (Harness.Client.errors c);
+      checkb (name ^ ": put returned ()") true
+        (match !got with Some Rpc.Value.Unit -> true | Some _ | None -> false))
+    all_flavours
+
+(* Classify rejects: each input carries exactly one defect, bumps
+   exactly its own counter, and nothing leaves the server. *)
+let test_classify_rejects_counted () =
+  let frame ~port payload =
+    Net.Frame.make ~src:(Harness.Traffic.client_endpoint ())
+      ~dst:(Harness.Traffic.server_endpoint ~port) payload
+  in
+  let request ~method_id body =
+    Rpc.Wire_format.encode
+      {
+        Rpc.Wire_format.rpc_id = 1L;
+        service_id = 1;
+        method_id;
+        kind = Rpc.Wire_format.Request;
+        ctx = None;
+        body;
+      }
+  in
+  let key = Rpc.Codec.encode (Rpc.Value.Str "k") in
+  let cases =
+    [
+      ("rx_bad_rpc", frame ~port:7000 (Bytes.of_string "not an rpc header"));
+      ("rx_no_service", frame ~port:7001 (request ~method_id:0 key));
+      ("rx_no_method", frame ~port:7000 (request ~method_id:9 key));
+      (* [get] takes a string; an empty body is not one. *)
+      ("rx_bad_args", frame ~port:7000 (request ~method_id:0 Bytes.empty));
+    ]
+  in
+  List.iter
+    (fun flavour ->
+      List.iter
+        (fun (counter, f) ->
+          let name = Experiments.Common.flavour_name flavour ^ " " ^ counter in
+          let sent = ref 0 in
+          let server = kv_server flavour ~egress:(fun _ -> incr sent) in
+          let engine = server.Experiments.Common.engine in
+          let driver = server.Experiments.Common.driver in
+          ignore
+            (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10)
+               (fun () -> driver.Harness.Driver.ingress f));
+          Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+          List.iter
+            (fun (other, _) ->
+              checki
+                (name ^ ": " ^ other)
+                (if String.equal other counter then 1 else 0)
+                (Sim.Counter.value
+                   (Sim.Counter.counter driver.Harness.Driver.counters other)))
+            cases;
+          checki (name ^ ": no frame leaves") 0 !sent)
+        cases)
+    all_flavours
+
 let () =
   Alcotest.run "integration"
     [
@@ -338,5 +445,12 @@ let () =
             test_static_ablation;
           Alcotest.test_case "lossy runs complete (E13)" `Slow
             test_lossy_runs_complete;
+        ] );
+      ( "receive-path core",
+        [
+          Alcotest.test_case "replies echo request ids" `Quick
+            test_reply_echoes_request_ids;
+          Alcotest.test_case "classify rejects counted" `Quick
+            test_classify_rejects_counted;
         ] );
     ]

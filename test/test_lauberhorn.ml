@@ -1017,6 +1017,60 @@ let test_stack_kill_restart_lifecycle () =
   checki "respawn counted" 1 (mv "respawns");
   checki "dead-window arrival refused" 1 (mv "crash_nacks")
 
+(* Workers decode every CONTROL line they load and the NIC every
+   response line it collects, so both decoders must be total: any bytes
+   give [Ok] or [Error]. Each case checks arbitrary bytes (0-200 B), a
+   truncation and a byte-flipped copy of a valid line. *)
+let message_decode_total =
+  QCheck.Test.make ~name:"control line decoders never raise on hostile bytes"
+    ~count:500
+    QCheck.(
+      pair
+        (triple (string_of_size Gen.(0 -- 200)) (int_bound 100_000)
+           (small_list (pair (int_bound 10_000) (int_bound 255))))
+        (triple (int_bound 4) bool (string_of_size Gen.(0 -- 24))))
+    (fun ((junk, cut, flips), (kind, wide, inline)) ->
+      let line_bytes = if wide then 128 else 64 in
+      let inline = Net.Slice.of_string inline in
+      let valid =
+        match kind with
+        | 0 -> Lauberhorn.Message.encode ~line_bytes
+                 (Lauberhorn.Message.Request (sample_request ~inline ()))
+        | 1 -> Lauberhorn.Message.encode ~line_bytes
+                 (Lauberhorn.Message.Kernel_dispatch (sample_request ~inline ()))
+        | 2 -> Lauberhorn.Message.encode ~line_bytes Lauberhorn.Message.Tryagain
+        | 3 -> Lauberhorn.Message.encode ~line_bytes Lauberhorn.Message.Retire
+        | _ ->
+            Lauberhorn.Message.encode_response ~line_bytes
+              {
+                Lauberhorn.Message.resp_rpc_id = Int64.of_int cut;
+                status = cut land 0xff;
+                total_len = Net.Slice.length inline;
+                inline_body = inline;
+                resp_aux_count = 0;
+              }
+      in
+      let n = Bytes.length valid in
+      let flipped = Bytes.copy valid in
+      List.iter
+        (fun (pos, x) ->
+          let i = pos mod n in
+          Bytes.set flipped i
+            (Char.chr (Char.code (Bytes.get flipped i) lxor (x lor 1))))
+        flips;
+      List.for_all
+        (fun b ->
+          let total name f =
+            match f b with
+            | Ok _ | Error _ -> true
+            | exception e ->
+                QCheck.Test.fail_reportf "%s %S raised %s" name
+                  (Bytes.to_string b) (Printexc.to_string e)
+          in
+          total "decode" Lauberhorn.Message.decode
+          && total "decode_response" Lauberhorn.Message.decode_response)
+        [ Bytes.of_string junk; Bytes.sub valid 0 (cut mod (n + 1)); flipped ])
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1039,7 +1093,7 @@ let () =
           Alcotest.test_case "capacity enforced" `Quick
             test_message_capacity_enforced;
         ]
-        @ qsuite [ message_roundtrip_property ] );
+        @ qsuite [ message_roundtrip_property; message_decode_total ] );
       ( "endpoint",
         [
           Alcotest.test_case "fast path" `Quick test_endpoint_fast_path_single;

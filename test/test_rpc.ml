@@ -232,6 +232,54 @@ let test_wire_format_errors () =
   | Error (Rpc.Wire_format.Bad_kind 9) -> ()
   | _ -> Alcotest.fail "bad kind accepted"
 
+(* The NIC's classify stage runs [decode] on every frame it receives, so
+   it must be total: any bytes give [Ok] or [Error]. Each case checks
+   arbitrary bytes (0-200 B), a truncation and a byte-flipped copy of a
+   valid header — with or without the trace-context extension. *)
+let wire_format_decode_total =
+  QCheck.Test.make ~name:"wire header decode never raises on hostile bytes"
+    ~count:500
+    QCheck.(
+      pair
+        (triple (string_of_size Gen.(0 -- 200)) (int_bound 100_000)
+           (small_list (pair (int_bound 10_000) (int_bound 255))))
+        (triple (int_bound 2) bool (string_of_size Gen.(0 -- 64))))
+    (fun ((junk, cut, flips), (kind, with_ctx, body)) ->
+      let valid =
+        Rpc.Wire_format.encode
+          {
+            Rpc.Wire_format.rpc_id = Int64.of_int cut;
+            service_id = cut land 0xffff;
+            method_id = cut land 0xff;
+            kind =
+              (match kind with
+              | 0 -> Rpc.Wire_format.Request
+              | 1 -> Rpc.Wire_format.Response
+              | _ -> Rpc.Wire_format.Error_reply (cut land 0xff));
+            ctx =
+              (if with_ctx then
+                 Some (Bytes.make Rpc.Wire_format.ctx_size '\x5a')
+               else None);
+            body = Bytes.of_string body;
+          }
+      in
+      let n = Bytes.length valid in
+      let flipped = Bytes.copy valid in
+      List.iter
+        (fun (pos, x) ->
+          let i = pos mod n in
+          Bytes.set flipped i
+            (Char.chr (Char.code (Bytes.get flipped i) lxor (x lor 1))))
+        flips;
+      List.for_all
+        (fun b ->
+          match Rpc.Wire_format.decode b with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%S raised %s" (Bytes.to_string b)
+                (Printexc.to_string e))
+        [ Bytes.of_string junk; Bytes.sub valid 0 (cut mod (n + 1)); flipped ])
+
 (* ---------- Interface ---------- *)
 
 let test_echo_service () =
@@ -406,7 +454,8 @@ let () =
           Alcotest.test_case "response ids" `Quick
             test_wire_format_response_preserves_ids;
           Alcotest.test_case "errors" `Quick test_wire_format_errors;
-        ] );
+        ]
+        @ qsuite [ wire_format_decode_total ] );
       ( "interface",
         [
           Alcotest.test_case "echo" `Quick test_echo_service;
