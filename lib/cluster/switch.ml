@@ -64,7 +64,8 @@ type t = {
   out_len : int array;
   out_busy : Sim.Units.time array;
   (* counters: scalars live on the Obs.Metrics registry (the stats
-     record is a view); per-port arrays stay for steering visibility *)
+     record is a view); the per-port forwarded array stays for steering
+     visibility *)
   metrics : Obs.Metrics.t;
   c_ingressed : Obs.Metrics.counter;
   c_delivered : Obs.Metrics.counter;
@@ -72,8 +73,6 @@ type t = {
   c_drop_in : Obs.Metrics.counter;
   c_drop_out : Obs.Metrics.counter;
   n_forwarded : int array;
-  n_drop_in : int array;
-  n_drop_out : int array;
   (* per-port pcap taps and the tracing hooks; None = disarmed, one
      load-and-branch on the hot paths *)
   taps : Obs.Pcap.t option array;
@@ -90,8 +89,6 @@ type t = {
      switch leaves the metrics snapshot untouched *)
   mutable c_port_drops : Obs.Metrics.counter option;
   mutable c_partition_drops : Obs.Metrics.counter option;
-  n_port_drops : int array;
-  n_partitioned : int array;
 }
 
 let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
@@ -130,8 +127,6 @@ let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
     c_drop_in = Obs.Metrics.counter metrics "switch_drop_in";
     c_drop_out = Obs.Metrics.counter metrics "switch_drop_out";
     n_forwarded = Array.make n 0;
-    n_drop_in = Array.make n 0;
-    n_drop_out = Array.make n 0;
     taps = Array.make n None;
     hooks = None;
     wedge = None;
@@ -139,8 +134,6 @@ let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
     partition = None;
     c_port_drops = None;
     c_partition_drops = None;
-    n_port_drops = Array.make n 0;
-    n_partitioned = Array.make n 0;
   }
 
 let ports t = Array.length t.ports
@@ -162,14 +155,11 @@ let rec past_windows f start =
 let egress_enqueue t ~port frame =
   if t.out_len.(port) >= t.cap_out then begin
     match t.wedge with
-    | Some f when f ~port ~at:(Sim.Engine.now t.engine) <> None ->
-        t.n_port_drops.(port) <- t.n_port_drops.(port) + 1;
-        (match t.c_port_drops with
+    | Some f when f ~port ~at:(Sim.Engine.now t.engine) <> None -> (
+        match t.c_port_drops with
         | Some c -> Obs.Metrics.incr c
         | None -> ())
-    | Some _ | None ->
-        t.n_drop_out.(port) <- t.n_drop_out.(port) + 1;
-        Obs.Metrics.incr t.c_drop_out
+    | Some _ | None -> Obs.Metrics.incr t.c_drop_out
   end
   else begin
     t.out_len.(port) <- t.out_len.(port) + 1;
@@ -228,9 +218,8 @@ let rec kick t p =
            | Some o -> (
                match t.partition with
                | Some cut when cut ~src:p ~dst:o ~at:(Sim.Engine.now t.engine)
-                 ->
-                   t.n_partitioned.(p) <- t.n_partitioned.(p) + 1;
-                   (match t.c_partition_drops with
+                 -> (
+                   match t.c_partition_drops with
                    | Some c -> Obs.Metrics.incr c
                    | None -> ())
                | Some _ | None -> egress_enqueue t ~port:o frame)
@@ -250,10 +239,8 @@ let sweep t () =
   Array.stable_sort (fun (p, _) (q, _) -> Int.compare p q) arr;
   Array.iter
     (fun (p, frame) ->
-      if Queue.length t.in_q.(p) >= t.cap_in then begin
-        t.n_drop_in.(p) <- t.n_drop_in.(p) + 1;
+      if Queue.length t.in_q.(p) >= t.cap_in then
         Obs.Metrics.incr t.c_drop_in
-      end
       else begin
         Queue.push frame t.in_q.(p);
         kick t p
@@ -291,10 +278,6 @@ let stats t =
   }
 
 let forwarded t = Array.copy t.n_forwarded
-let dropped_in t = Array.copy t.n_drop_in
-let dropped_out t = Array.copy t.n_drop_out
-let port_dropped t = Array.copy t.n_port_drops
-let partition_dropped t = Array.copy t.n_partitioned
 let metrics t = t.metrics
 
 let tap t ~port writer =

@@ -39,10 +39,7 @@ type t = {
   mutable fills : int;
   mutable tryagains : int;
   mutable stores : int;
-  mutable fetchx : int;
   mutable delayed_stages : int;
-  mutable line_resets : int;
-  mutable stale_loads : int;
   mutable sanitizer : (sanitizer_event -> unit) option;
 }
 
@@ -61,10 +58,7 @@ let create engine prof ?stage_delay ~timeout () =
     fills = 0;
     tryagains = 0;
     stores = 0;
-    fetchx = 0;
     delayed_stages = 0;
-    line_resets = 0;
-    stale_loads = 0;
     sanitizer = None;
   }
 
@@ -133,12 +127,10 @@ let cpu_load t id k =
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_request
        (fun () ->
-         if not (Int.equal ln.gen gen) then
-           (* The line was reset while this load request was on the
-              interconnect: the loader's process is gone, so the
-              request dies at the directory instead of parking. *)
-           t.stale_loads <- t.stale_loads + 1
-         else
+         (* A line reset while this load request was on the interconnect
+            means the loader's process is gone: the request dies here
+            instead of parking. *)
+         if Int.equal ln.gen gen then
          match ln.staged with
          | Some data ->
              ln.staged <- None;
@@ -202,8 +194,7 @@ let reset_line t id =
       (* Drop the parked load without answering it: the loader is dead
          and its continuation must never fire. *)
       ln.parked <- None;
-      Sim.Engine.cancel t.engine p.timer;
-      t.line_resets <- t.line_resets + 1);
+      Sim.Engine.cancel t.engine p.timer);
   ln.gen <- ln.gen + 1;
   ln.staged <- None;
   ln.cpu_copy <- None;
@@ -222,7 +213,6 @@ let cpu_store t id data =
 
 let fetch_exclusive t id k =
   let ln = line t id in
-  t.fetchx <- t.fetchx + 1;
   ignore
     (Sim.Engine.schedule_after t.engine
        ~after:t.prof.Interconnect.fetch_exclusive (fun () ->
@@ -234,7 +224,4 @@ let loads t = t.loads
 let fills t = t.fills
 let tryagains t = t.tryagains
 let stores t = t.stores
-let fetch_exclusives t = t.fetchx
 let delayed_stages t = t.delayed_stages
-let line_resets t = t.line_resets
-let stale_loads t = t.stale_loads

@@ -104,9 +104,9 @@ val reset_line : t -> line_id -> unit
     (its timeout timer is cancelled and its continuation never fires —
     the loading thread is dead), and drop staged data and the CPU's
     uncollected store copy. Load requests still on the interconnect
-    when the reset happens die at the directory when they land
-    (tallied by {!stale_loads}) instead of re-parking. The line is
-    afterwards indistinguishable from a freshly allocated one. *)
+    when the reset happens die at the home agent when they land
+    instead of re-parking. The line is afterwards indistinguishable
+    from a freshly allocated one. *)
 
 val cpu_store : t -> line_id -> bytes -> unit
 (** CPU writes the line; the device's [on_store] callback fires after
@@ -123,14 +123,6 @@ val loads : t -> int
 val fills : t -> int
 val tryagains : t -> int
 val stores : t -> int
-val fetch_exclusives : t -> int
 
 val delayed_stages : t -> int
 (** Fills deferred by the [stage_delay] fault hook. *)
-
-val line_resets : t -> int
-(** Parked loads discarded by {!reset_line} (crash teardown). *)
-
-val stale_loads : t -> int
-(** In-flight load requests that landed after a {!reset_line} of their
-    line and were discarded at the directory. *)

@@ -10,7 +10,6 @@ type t = {
   tryagains_before_yield : int;
   encrypt : bool;
   shed : bool;
-  sanitize : bool;
 }
 
 let enzian =
@@ -26,7 +25,6 @@ let enzian =
     tryagains_before_yield = 2;
     encrypt = false;
     shed = false;
-    sanitize = false;
   }
 
 let modern =
@@ -40,7 +38,6 @@ let modern =
 
 let with_encryption t encrypt = { t with encrypt }
 let with_shed t shed = { t with shed }
-let with_sanitize t sanitize = { t with sanitize }
 
 let with_timeout t timeout =
   if timeout <= 0 then invalid_arg "Config.with_timeout: non-positive";
@@ -50,10 +47,9 @@ let with_dma_threshold t n =
   if n <= 0 then invalid_arg "Config.with_dma_threshold: non-positive";
   { t with dma_threshold = n }
 
-let control_header_bytes = 40
-
 let inline_capacity t =
-  t.profile.Coherence.Interconnect.cache_line_bytes - control_header_bytes
+  Message.request_inline_capacity
+    ~line_bytes:t.profile.Coherence.Interconnect.cache_line_bytes
 
 let endpoint_window t =
   inline_capacity t

@@ -165,13 +165,6 @@ let equal_request (a : request) (b : request) =
   && Int.equal a.aux_count b.aux_count
   && Bool.equal a.via_dma b.via_dma
 
-let equal_response (a : response) (b : response) =
-  Int64.equal a.resp_rpc_id b.resp_rpc_id
-  && Int.equal a.status b.status
-  && Int.equal a.total_len b.total_len
-  && Net.Slice.equal a.inline_body b.inline_body
-  && Int.equal a.resp_aux_count b.resp_aux_count
-
 let equal a b =
   match (a, b) with
   | Request x, Request y | Kernel_dispatch x, Kernel_dispatch y ->

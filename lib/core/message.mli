@@ -40,14 +40,11 @@ type t =
   | Tryagain
   | Retire  (** Reallocation request to a non-preemptible kthread. *)
 
-val request_header_bytes : int
-(** 40 bytes. *)
-
-val response_header_bytes : int
-(** 20 bytes. *)
-
 val request_inline_capacity : line_bytes:int -> int
+(** [line_bytes] less the 40-byte request header. *)
+
 val response_inline_capacity : line_bytes:int -> int
+(** [line_bytes] less the 20-byte response header. *)
 
 val encode : line_bytes:int -> t -> bytes
 (** Render into one line image (length exactly [line_bytes]).
@@ -68,8 +65,5 @@ val decode_response : bytes -> (response, string) result
 val equal : t -> t -> bool
 (** Content equality: inline slices are compared by contents, not by
     backing buffer identity. *)
-
-val equal_request : request -> request -> bool
-val equal_response : response -> response -> bool
 
 val pp : Format.formatter -> t -> unit

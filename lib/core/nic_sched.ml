@@ -92,5 +92,3 @@ let decide t ~service ~queue_depth ~workers ~handler_time =
     else Steady
   end
   else Steady
-
-let services_tracked t = Hashtbl.length t.table

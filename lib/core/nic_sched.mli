@@ -55,5 +55,3 @@ val decide :
 (** Evaluated per arrival by the stack. Admission control (when armed)
     takes precedence over scaling decisions; the hysteretic shed state
     is updated as a side effect of this call. *)
-
-val services_tracked : t -> int

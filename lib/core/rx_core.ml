@@ -141,10 +141,6 @@ type ccnic = {
   m_drop_full : Obs.Metrics.counter;
 }
 
-let sanitizer engine (cfg : Config.t) = function
-  | Some _ as z -> z
-  | None -> if cfg.Config.sanitize then Some (Sanitize.create engine) else None
-
 let ccnic c (cfg : Config.t) ~(fault : Fault.Plan.t) ~salt ~sanitize =
   (* The coherence choke point: with probability [fill_delay] a fill
      stays in flight for [fill_delay_ns] — longer than the TRYAGAIN

@@ -109,10 +109,6 @@ type ccnic = {
   m_drop_full : Obs.Metrics.counter;
 }
 
-val sanitizer : Sim.Engine.t -> Config.t -> Sanitize.t option ->
-  Sanitize.t option
-(** The given session, else a fresh one when [cfg.sanitize] is set. *)
-
 val ccnic :
   t -> Config.t -> fault:Fault.Plan.t -> salt:int ->
   sanitize:Sanitize.t option -> ccnic

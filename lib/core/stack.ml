@@ -65,12 +65,8 @@ type t = {
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
   telemetry : Telemetry.t;
-  fault_active : bool;
-      (* fault plan present: feed fault/recovery events into telemetry
-         (fault-free runs record nothing, keeping reports unchanged) *)
   remotes : (int, remote) Hashtbl.t;  (* service_id -> where it lives *)
   mutable address : Net.Frame.endpoint option;  (* our own identity *)
-  mutable trace : Sim.Trace.t option;
   nested_conts : Rpc.Value.t Rpc.Continuation.t;
       (* reply continuations for nested calls (paper section 6) *)
   mutable next_dispatch_id : int64;
@@ -100,12 +96,6 @@ let sanitize_dispatch t sv =
       let pid = sv.sproc.Osmodel.Proc.pid in
       Sanitize.Mirror_watch.dispatch mw ~pid
         ~alive:(Sched_mirror.pid_alive t.smirror ~pid)
-
-let emit t ~cat f =
-  match t.trace with
-  | Some trace ->
-      Sim.Trace.emit trace ~time:(Sim.Engine.now t.core.engine) ~cat f
-  | None -> ()
 
 (* Nested-call reply ids live in their own tag range so responses can
    be routed to the waiting worker instead of the wire. *)
@@ -178,9 +168,6 @@ and park_worker t sv w =
 
 and worker_tryagain t sv w =
   Rx_core.count t.core "worker_tryagain";
-  emit t ~cat:"tryagain" (fun () ->
-      Printf.sprintf "worker %s got TRYAGAIN (empty=%d)"
-        w.wthread.Osmodel.Proc.tname (w.empty_cycles + 1));
   w.empty_cycles <- w.empty_cycles + 1;
   if
     w.empty_cycles >= t.cc.cfg.Config.tryagains_before_yield
@@ -348,8 +335,6 @@ let activate_worker t sv w =
        KERNEL_DISPATCH, the target process was dead. *)
     Rx_core.count t.core "dispatch_to_dead"
   else if not w.active then begin
-    emit t ~cat:"activate" (fun () ->
-        Printf.sprintf "worker %s activated" w.wthread.Osmodel.Proc.tname);
     w.active <- true;
     sv.active_count <- sv.active_count + 1;
     Rx_core.count t.core "worker_activate";
@@ -504,16 +489,13 @@ let dispatch_request t (entry : Demux.entry) frame
   let service_id = entry.Demux.service.Rpc.Interface.service_id in
   let sv = service_rt t service_id in
   let rpc_id = wire.Rpc.Wire_format.rpc_id in
-  if Hashtbl.mem t.inflight rpc_id then begin
-    Rx_core.count t.core "duplicate_rpc_id";
-    if t.fault_active then Telemetry.incr_fault t.telemetry "duplicate_rpc_id"
-  end
+  if Hashtbl.mem t.inflight rpc_id then
+    Rx_core.count t.core "duplicate_rpc_id"
   else if not (Sched_mirror.pid_alive t.smirror ~pid:sv.sproc.Osmodel.Proc.pid)
   then begin
     (* The NIC believes the target process is dead (the death push has
        landed): refuse on the wire rather than dispatch to a corpse. *)
     Obs.Metrics.incr t.cc.m_crash_nacks;
-    if t.fault_active then Telemetry.incr_fault t.telemetry "crash_nack";
     Rx_core.nack t.core ~rpc_id ~service_id
       ~method_id:mdef.Rpc.Interface.method_id
       ~src:(Net.Frame.dst_endpoint frame) ~dst:(Net.Frame.src_endpoint frame)
@@ -531,7 +513,6 @@ let dispatch_request t (entry : Demux.entry) frame
     | Some Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
-        if t.fault_active then Telemetry.incr_fault t.telemetry "shed";
         Rx_core.nack t.core ~rpc_id ~service_id
           ~method_id:mdef.Rpc.Interface.method_id
           ~src:(Net.Frame.dst_endpoint frame)
@@ -561,13 +542,6 @@ let dispatch_request t (entry : Demux.entry) frame
     sanitize_dispatch t sv;
     if Endpoint.deliver w.wep (Rx_core.control_request t.cc entry mdef wire)
     then begin
-      emit t ~cat:"dispatch" (fun () ->
-          Format.asprintf "rpc %Ld -> svc %d worker %d (%s)" rpc_id service_id
-            w.widx
-            (match path with
-            | `Fast -> "fast"
-            | `Queued -> "queued"
-            | `Inactive -> "cold"));
       (match path with
       | `Fast -> Rx_core.count t.core "fast_path"
       | `Queued -> Rx_core.count t.core "queued_path"
@@ -595,8 +569,7 @@ let dispatch_request t (entry : Demux.entry) frame
     else begin
       Hashtbl.remove t.inflight rpc_id;
       Rx_core.count t.core "nic_queue_drop";
-      Obs.Metrics.incr t.cc.m_drop_full;
-      if t.fault_active then Telemetry.incr_fault t.telemetry "nic_queue_drop"
+      Obs.Metrics.incr t.cc.m_drop_full
     end
   end
 
@@ -619,12 +592,9 @@ let nested_remote_reply t (wire : Rpc.Wire_format.t) =
 
 let nic_rx t frame =
   Rx_core.count t.core "rx_frames";
-  emit t ~cat:"rx" (fun () ->
-      Format.asprintf "frame %a" Net.Udp.pp frame.Net.Frame.udp);
   match Rx_core.header frame with
   | Error _ ->
-      Rx_core.drop t.core Rx_core.Bad_rpc;
-      if t.fault_active then Telemetry.incr_fault t.telemetry "rx_bad_rpc"
+      Rx_core.drop t.core Rx_core.Bad_rpc
   | Ok wire when not (Rpc.Wire_format.is_request wire) ->
       nested_remote_reply t wire
   | Ok wire -> (
@@ -713,9 +683,6 @@ let on_endpoint_response t (resp : Message.response) =
            else Rpc.Wire_format.Error_reply resp.Message.status)
           app.full_body
       in
-      emit t ~cat:"tx" (fun () ->
-          Format.asprintf "response %Ld (%dB body)" rpc
-            (Bytes.length app.full_body));
       let encrypt =
         if t.cc.cfg.Config.encrypt then
           Crypto.cost Crypto.aes_gcm_nic ~bytes:(Net.Frame.wire_size frame)
@@ -750,8 +717,6 @@ let sweep_dead_service t sv =
       | Dispatch_ack _ -> ()  (* cold activation of a now-dead worker *)
       | App a -> (
           Obs.Metrics.incr t.cc.m_stale;
-          if t.fault_active then
-            Telemetry.incr_fault t.telemetry "stale_dispatch_caught";
           Nic_sched.on_complete t.sched ~service:sid;
           match nested_cont_of id with
           | Some cont
@@ -777,9 +742,7 @@ let drain_limbo t sv =
     ~deliver:(fun msg ->
       let w, _path = choose_worker sv in
       sanitize_dispatch t sv;
-      let ok = Endpoint.deliver w.wep msg in
-      if ok && t.fault_active then Telemetry.incr_fault t.telemetry "requeue";
-      ok)
+      Endpoint.deliver w.wep msg)
     ~refuse:(fun id ->
       match Hashtbl.find_opt t.inflight id with
       | Some (App a) ->
@@ -793,11 +756,7 @@ let drain_limbo t sv =
 let kill_service t ~service_id =
   let sv = service_rt t service_id in
   if sv.sproc.Osmodel.Proc.alive then begin
-    emit t ~cat:"crash" (fun () ->
-        Printf.sprintf "service %d (%s) crashed" service_id
-          sv.sproc.Osmodel.Proc.pname);
     Obs.Metrics.incr t.core.m_kills;
-    if t.fault_active then Telemetry.incr_fault t.telemetry "kill";
     (* Kernel-side only. The NIC's mirror learns after the push lag;
        the teardown sweep runs when that push lands. *)
     Osmodel.Kernel.kill t.core.kern sv.sproc
@@ -806,9 +765,6 @@ let kill_service t ~service_id =
 let restart_service t ~service_id =
   let sv = service_rt t service_id in
   if not sv.sproc.Osmodel.Proc.alive then begin
-    emit t ~cat:"crash" (fun () ->
-        Printf.sprintf "service %d (%s) restarted" service_id
-          sv.sproc.Osmodel.Proc.pname);
     Obs.Metrics.incr t.core.m_respawns;
     Osmodel.Kernel.respawn t.core.kern sv.sproc;
     (* Fresh threads over the surviving endpoints (which the sweep left
@@ -850,7 +806,6 @@ let create engine ~cfg ~ncores ?kernel_costs
     () =
   if List.is_empty services then invalid_arg "Stack.create: no services";
   if dispatchers < 1 then invalid_arg "Stack.create: need a dispatcher";
-  let sanitize = Rx_core.sanitizer engine cfg sanitize in
   let core =
     Rx_core.create engine ~name:"lauberhorn" ~ncores ?kernel_costs ?metrics
       ?tracer ~egress ()
@@ -869,11 +824,9 @@ let create engine ~cfg ~ncores ?kernel_costs
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
-      telemetry = Telemetry.create ~metrics:core.Rx_core.metrics ();
-      fault_active = not (Fault.Plan.is_none fault);
+      telemetry = Telemetry.create ();
       remotes = Hashtbl.create 16;
       address = None;
-      trace = None;
       nested_conts = Rpc.Continuation.create ();
       next_dispatch_id = Int64.shift_left 1L 62;
       mac = None;
@@ -1081,7 +1034,6 @@ let active_workers t ~service_id = (service_rt t service_id).active_count
 let telemetry t = t.telemetry
 let metrics t = t.core.metrics
 let tracer t = t.core.tracer
-let attach_trace t trace = t.trace <- Some trace
 let set_address t address = t.address <- Some address
 
 let add_remote_service t ~service_id ~server ~response_schema =

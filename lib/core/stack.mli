@@ -47,13 +47,12 @@ val create :
 
     [fault] (default {!Fault.Plan.none}) arms the coherence choke
     point: fills are delayed per the plan's [fill_delay] knobs, forcing
-    workers through real TRYAGAIN recovery, and fault/recovery events
-    are fed into {!Telemetry} and the stack's metrics registry. The
-    default plan draws no randomness and changes nothing.
+    workers through real TRYAGAIN recovery. The default plan draws no
+    randomness and changes nothing.
 
     [metrics] (default a fresh registry) unifies the stack's exported
     scalars: the home agent's delayed-fill/TRYAGAIN tallies register as
-    derived gauges and telemetry fault counters land there too.
+    derived gauges.
 
     [tracer] (default a fresh, disabled tracer) collects per-RPC causal
     spans: a root span opened at {!ingress}, stage spans at each
@@ -66,9 +65,8 @@ val create :
     [sanitize] attaches the runtime sanitizers: home-agent generation
     discipline ({!Sanitize.Coherence_watch}) and scheduler-mirror
     convergence plus swept-pid dispatch checks
-    ({!Sanitize.Mirror_watch}). When absent and [cfg.sanitize] is set,
-    the stack creates its own fail-fast session; pass one in to also
-    run the end-of-run checks with {!Sanitize.finish}. *)
+    ({!Sanitize.Mirror_watch}); run the end-of-run checks with
+    {!Sanitize.finish}. *)
 
 val ingress : t -> Net.Frame.t -> unit
 (** Connect as the wire's deliver callback. *)
@@ -101,11 +99,6 @@ val add_remote_service :
     schema is registered so the NIC can unmarshal remote replies —
     microservice chains span machines in real deployments.
     @raise Invalid_argument if the service is hosted locally. *)
-
-val attach_trace : t -> Sim.Trace.t -> unit
-(** Stream rx/dispatch/tryagain/activate/tx events into a trace ring
-    (paper §6: tracing and debugging via close OS integration). The
-    trace must be {!Sim.Trace.enable}d to record. *)
 
 (** {1 Crash/restart lifecycle} *)
 

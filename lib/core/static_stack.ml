@@ -228,7 +228,6 @@ let create engine ~cfg ~ncores ?kernel_costs ?(fault = Fault.Plan.none)
     ?metrics ?tracer ?sanitize ~services ~egress () =
   if List.is_empty services then
     invalid_arg "Static_stack.create: no services";
-  let sanitize = Rx_core.sanitizer engine cfg sanitize in
   let core =
     Rx_core.create engine ~name:"ccnic-static" ~ncores ?kernel_costs ?metrics
       ?tracer ~egress ()

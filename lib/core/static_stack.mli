@@ -41,8 +41,7 @@ val create :
     [metrics] and [tracer] as in {!Stack.create}: home-agent tallies
     register as derived gauges; per-RPC stage spans (same stage names
     as {!Stack}) telescope to the measured latency. [sanitize] attaches
-    the coherence sanitizer to the home agent (also implied by
-    [cfg.sanitize]).
+    the coherence sanitizer to the home agent.
     @raise Invalid_argument if [services] is empty. *)
 
 val ingress : t -> Net.Frame.t -> unit

@@ -106,9 +106,6 @@ let send t frame =
 let seen t = t.seen
 let delivered t = t.delivered
 let dropped t = t.dropped
-let scripted_drops t = t.scripted
-let corrupt_rejected t = t.corrupt_rejected
-let corrupt_delivered t = t.corrupt_delivered
 let duplicated t = t.duplicated
 let reordered t = t.reordered
 

@@ -36,18 +36,13 @@ val seen : t -> int
 val delivered : t -> int
 val dropped : t -> int  (** probabilistic drops *)
 
-val scripted_drops : t -> int  (** [drop_nth] drops *)
-
-val corrupt_rejected : t -> int
-(** corrupted frames the receiver-side checksums rejected (these never
-    reach [deliver]) *)
-
-val corrupt_delivered : t -> int
-(** corrupted frames that survived validation — kept as a tripwire;
-    with {!flip_checksummed} this stays 0 *)
-
 val duplicated : t -> int
 val reordered : t -> int
 
 val counters : t -> prefix:string -> (string * int) list
-(** All counters as [(prefix ^ name, value)] pairs. *)
+(** All counters as [(prefix ^ name, value)] pairs. Besides the ones
+    above: [scripted_drops] ([drop_nth] drops), [corrupt_rejected]
+    (corrupted frames the receiver-side checksums rejected; these never
+    reach [deliver]) and [corrupt_delivered] (corrupted frames that
+    survived validation — kept as a tripwire; with {!flip_checksummed}
+    this stays 0). *)

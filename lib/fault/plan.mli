@@ -198,7 +198,6 @@ val make :
   t
 (** @raise Invalid_argument on out-of-range probabilities/delays. *)
 
-val link_is_perfect : link -> bool
 val is_none : t -> bool
 
 val derived_seed : t -> salt:int -> int

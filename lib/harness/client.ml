@@ -203,4 +203,3 @@ let abandoned t = t.abandoned
 let duplicates t = t.duplicates
 let rejected t = t.rejected
 let budget_exhausted t = t.budget_exhausted
-let retry_budget_left t = t.retry_budget

@@ -111,9 +111,6 @@ let narrow r ~len =
     fail "narrow of %d bytes at %d exceeds limit %d" len r.rpos r.rlimit;
   { rbuf = r.rbuf; rlimit = r.rpos + len; rpos = r.rpos }
 
-let remaining_slice r =
-  Slice.make r.rbuf ~off:r.rpos ~len:(r.rlimit - r.rpos)
-
 let check_read r n =
   if r.rpos + n > r.rlimit then
     fail "read of %d bytes at %d exceeds limit %d" n r.rpos r.rlimit

@@ -80,9 +80,6 @@ val narrow : reader -> len:int -> reader
     original reader is not advanced). Replaces [sub_reader] +
     [Bytes.sub] in zero-copy parsers. *)
 
-val remaining_slice : reader -> Slice.t
-(** Zero-copy view of the unread bytes. *)
-
 val read_u8 : reader -> int
 val read_u16 : reader -> int
 val read_u32 : reader -> int

@@ -3,7 +3,6 @@ type t = { dst : Mac_addr.t; src : Mac_addr.t; ethertype : int }
 let header_size = 14
 let min_frame_size = 60
 let ethertype_ipv4 = 0x0800
-let ethertype_arp = 0x0806
 
 let write w t =
   Mac_addr.write w t.dst;

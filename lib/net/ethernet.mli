@@ -13,7 +13,6 @@ val min_frame_size : int
 (** 60 bytes excluding FCS; shorter frames are padded on the wire. *)
 
 val ethertype_ipv4 : int
-val ethertype_arp : int
 
 val write : Buf.writer -> t -> unit
 

@@ -112,12 +112,6 @@ let src_endpoint (t : t) =
 let dst_endpoint (t : t) =
   { mac = t.eth.Ethernet.dst; ip = t.ip.Ipv4.dst; port = t.udp.Udp.dst_port }
 
-let view_src_endpoint (v : view) =
-  { mac = v.eth.Ethernet.src; ip = v.ip.Ipv4.src; port = v.udp.Udp.src_port }
-
-let view_dst_endpoint (v : view) =
-  { mac = v.eth.Ethernet.dst; ip = v.ip.Ipv4.dst; port = v.udp.Udp.dst_port }
-
 let pp ppf (t : t) =
   Format.fprintf ppf "%a | %a | %a | %d payload bytes" Ethernet.pp t.eth
     Ipv4.pp t.ip Udp.pp t.udp (Bytes.length t.payload)

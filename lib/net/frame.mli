@@ -68,7 +68,5 @@ val of_view : view -> t
 
 val src_endpoint : t -> endpoint
 val dst_endpoint : t -> endpoint
-val view_src_endpoint : view -> endpoint
-val view_dst_endpoint : view -> endpoint
 val pp : Format.formatter -> t -> unit
 val pp_error : Format.formatter -> error -> unit

@@ -24,7 +24,6 @@ let to_string t =
     ((t lsr 8) land 0xff)
     (t land 0xff)
 
-let localhost = of_string "127.0.0.1"
 let any = 0
 
 let in_subnet t ~network ~prefix_len =

@@ -12,7 +12,6 @@ val of_string : string -> t
 (** Parse dotted quad ["10.0.0.1"]. @raise Invalid_argument on syntax. *)
 
 val to_string : t -> string
-val localhost : t
 val any : t
 
 val in_subnet : t -> network:t -> prefix_len:int -> bool

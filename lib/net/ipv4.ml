@@ -10,7 +10,6 @@ type t = {
 
 let header_size = 20
 let protocol_udp = 17
-let protocol_tcp = 6
 
 type error =
   | Truncated

@@ -8,7 +8,6 @@ let of_int64 v =
     invalid_arg "Mac_addr.of_int64: more than 48 bits";
   Int64.to_int v
 
-let to_int64 t = Int64.of_int t
 
 let of_string s =
   let parts = String.split_on_char ':' s in

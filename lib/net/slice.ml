@@ -43,8 +43,6 @@ let[@hot_path] equal a b =
   in
   go 0
 
-let equal_bytes t b = equal t (of_bytes b)
-
 let[@hot_path] is_prefix_of t b =
   Bytes.length b >= t.len
   &&

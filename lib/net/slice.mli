@@ -40,8 +40,6 @@ val blit : t -> bytes -> dst_off:int -> unit
 val equal : t -> t -> bool
 (** Content equality, no allocation. *)
 
-val equal_bytes : t -> bytes -> bool
-
 val is_prefix_of : t -> bytes -> bool
 (** True when the slice's contents equal a prefix of [b]. *)
 

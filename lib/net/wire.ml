@@ -9,7 +9,6 @@ type t = {
   mutable scratch : bytes;  (* corruption-model workspace, reused *)
   mutable free_at : Sim.Units.time;
   mutable frames : int;
-  mutable bytes : int;
   mutable lost : int;
   mutable corrupted : int;
 }
@@ -39,7 +38,6 @@ let create engine ~gbps ~propagation ?(loss = 0.) ?(corruption = 0.)
     scratch = Bytes.create 0;
     free_at = 0;
     frames = 0;
-    bytes = 0;
     lost = 0;
     corrupted = 0;
   }
@@ -50,7 +48,6 @@ let transmit t frame =
   let tx_done = start + serialization_delay ~gbps:t.gbps ~bytes:size in
   t.free_at <- tx_done;
   t.frames <- t.frames + 1;
-  t.bytes <- t.bytes + size + overhead_bytes;
   let arrival = tx_done + t.propagation in
   if t.loss > 0. && Sim.Rng.float t.rng < t.loss then t.lost <- t.lost + 1
   else if t.corruption > 0. && Sim.Rng.float t.rng < t.corruption then begin
@@ -78,8 +75,5 @@ let transmit t frame =
            t.deliver frame))
 
 let frames_sent t = t.frames
-let bytes_sent t = t.bytes
-let busy_until t = t.free_at
-
 let frames_lost t = t.lost
 let frames_corrupted t = t.corrupted

@@ -226,13 +226,9 @@ let rx_delivered t = t.delivered
 let rx_dropped t =
   Array.fold_left (fun acc q -> acc + Ring.drops q.ring) 0 t.queues
 
-let rx_fault_dropped t = t.fault_dropped
 let rx_corrupt_dropped t = t.corrupt_dropped
 
 let interrupts_fired t =
   Array.fold_left (fun acc q -> acc + Msix.fired q.msix) 0 t.queues
-
-let interrupts_suppressed t =
-  Array.fold_left (fun acc q -> acc + Msix.suppressed q.msix) 0 t.queues
 
 let iommu t = t.iommu

@@ -102,12 +102,8 @@ val rx_delivered : t -> int
 val rx_dropped : t -> int
 (** Ring-full tail drops. *)
 
-val rx_fault_dropped : t -> int
-(** Completion drops forced by the fault plan. *)
-
 val rx_corrupt_dropped : t -> int
 (** Descriptors rejected (and released) by {!consume}'s validation. *)
 
 val interrupts_fired : t -> int
-val interrupts_suppressed : t -> int
 val iommu : t -> Iommu.t option

@@ -4,12 +4,11 @@ type t = {
   sink : Net.Frame.t -> unit;
   mutable frames : int;
   mutable bytes : int;
-  mutable errors : int;
 }
 
 let create engine ?(pipeline_delay = 300) ~sink () =
   if pipeline_delay < 0 then invalid_arg "Mac.create: negative delay";
-  { engine; pipeline_delay; sink; frames = 0; bytes = 0; errors = 0 }
+  { engine; pipeline_delay; sink; frames = 0; bytes = 0 }
 
 let rx t frame =
   t.frames <- t.frames + 1;
@@ -18,15 +17,5 @@ let rx t frame =
     (Sim.Engine.schedule_after t.engine ~after:t.pipeline_delay (fun () ->
          t.sink frame))
 
-(* Byte-level ingress: validate in place over the caller's buffer —
-   headers and checksums are checked without copying, and malformed
-   frames are dropped here (the FCS/parse stage of a real MAC) without
-   ever materialising a frame. *)
-let rx_slice t slice =
-  match Net.Frame.parse_slice slice with
-  | Error _ -> t.errors <- t.errors + 1
-  | Ok v -> rx t (Net.Frame.of_view v)
-
 let frames t = t.frames
 let bytes t = t.bytes
-let rx_errors t = t.errors

@@ -14,7 +14,6 @@ val create : size:int -> 'a t
 val size : 'a t -> int
 val occupancy : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val produce : 'a t -> 'a -> bool
 (** Hardware side: write a completed descriptor. Returns [false] (drop)

@@ -31,17 +31,6 @@ let pp_field fmt = function
   | Length -> Format.pp_print_string fmt "length"
   | Payload i -> Format.fprintf fmt "payload[%d]" i
 
-let pp_target fmt = function
-  | Queue q -> Format.fprintf fmt "queue %d" q
-  | Worker w -> Format.fprintf fmt "worker %d" w
-  | Hash_lane { key; lanes; base } ->
-      Format.fprintf fmt "hash(%a) into %d lane(s) at %d"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           pp_field)
-        key lanes base
-  | Rss -> Format.pp_print_string fmt "rss"
-
 (* Field width in bytes when gathered into a hash key. *)
 let field_width = function
   | Src_ip | Dst_ip -> 4

@@ -14,9 +14,8 @@
     coincide.
 
     Supported policies: key-hash affinity for caches ({!key_affinity}),
-    size-based fast/slow split ({!size_split}), priority lanes for
-    latency-critical ports ({!priority_lanes}), and fallback-to-RSS
-    ({!rss_all}). *)
+    fallback-to-RSS ({!rss_all}), and the size-based fast/slow split
+    and priority lanes among the {!builtins}. *)
 
 (** Header or payload-prefix field a guard may test.  [Payload i] reads
     UDP payload byte [i] (0 if the payload is shorter — total, but the
@@ -66,11 +65,8 @@ val key_width : field list -> int
     1 per payload byte). *)
 
 val pp_field : Format.formatter -> field -> unit
-val pp_target : Format.formatter -> target -> unit
 
 (** {2 Evaluation} *)
-
-val field_value : Net.Frame.t -> field -> int
 
 val matches : Net.Frame.t -> guard -> bool
 
@@ -109,14 +105,9 @@ val key_affinity : ?name:string -> key_off:int -> key_len:int -> lanes:int -> un
     {!Rss.hash} into [lanes] lanes, so all requests for one key share a
     lane (cache locality). *)
 
-val size_split : ?fast_cutoff:int -> fast_lanes:int -> slow_queue:int -> unit -> t
-(** Payloads up to [fast_cutoff] bytes (default 128) hash across the
-    [fast_lanes] fast lanes; bigger requests go to [slow_queue]. *)
-
-val priority_lanes : port:int -> queue:int -> t
-(** Datagrams for the latency-critical [port] get a dedicated lane;
-    everything else falls back to RSS. *)
-
 val builtins : t list
 (** All shipped programs, as verified by [bin/steer_verify] at build
-    time. *)
+    time. Besides the ones above: [size_split] (payloads up to 128
+    bytes hash across 3 fast lanes, bigger requests go to queue 3) and
+    [priority_lanes] (datagrams for port 7000 get queue 0, everything
+    else falls back to RSS). *)

@@ -1,6 +1,6 @@
 let us_of_ns ns = float_of_int ns /. 1000.
 
-let event ?(pid = 1) ~name ~cat ~ph ~ts ~tid extra =
+let event ~pid ~name ~cat ~ph ~ts ~tid extra =
   Json.Obj
     ([
        ("name", Json.Str name);
@@ -12,7 +12,7 @@ let event ?(pid = 1) ~name ~cat ~ph ~ts ~tid extra =
      ]
     @ extra)
 
-let metadata ?(pid = 1) ~name ~tid value =
+let metadata ~pid ~name ~tid value =
   Json.Obj
     [
       ("name", Json.Str name);
@@ -22,7 +22,7 @@ let metadata ?(pid = 1) ~name ~tid value =
       ("args", Json.Obj [ ("name", Json.Str value) ]);
     ]
 
-let span_event ?(pid = 1) (s : Span.t) =
+let span_event ~pid (s : Span.t) =
   let tid = s.Span.track + 1 in
   let args =
     Json.Obj
@@ -58,51 +58,6 @@ let span_event ?(pid = 1) (s : Span.t) =
                );
                ("args", args);
              ])
-
-let trace_events ?(process = "lauberhorn-sim") ?(sim = []) tracer =
-  let tracer_tracks = Tracer.tracks tracer in
-  let ntracks = List.length tracer_tracks in
-  let meta =
-    Json.Obj
-      [
-        ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str process) ]);
-      ]
-    :: List.mapi
-         (fun i name -> metadata ~name:"thread_name" ~tid:(i + 1) name)
-         tracer_tracks
-    @ List.mapi
-        (fun i (label, _) ->
-          metadata ~name:"thread_name" ~tid:(ntracks + 1 + i) label)
-        sim
-  in
-  let span_events =
-    List.filter_map span_event (Tracer.spans tracer)
-  in
-  let sim_events =
-    List.concat
-      (List.mapi
-         (fun i (_, trace) ->
-           let tid = ntracks + 1 + i in
-           List.map
-             (fun (seq, time, cat, msg) ->
-               event ~name:cat ~cat:"sim-trace" ~ph:"i" ~ts:time ~tid
-                 [
-                   ("s", Json.Str "t");
-                   ( "args",
-                     Json.Obj
-                       [ ("seq", Json.Int seq); ("msg", Json.Str msg) ] );
-                 ])
-             (Sim.Trace.entries_seq trace))
-         sim)
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (meta @ span_events @ sim_events));
-      ("displayTimeUnit", Json.Str "ns");
-    ]
 
 (* One process per plane: host tracers, the switch/uplink plane and
    the control plane each get their own pid (their label as the
@@ -140,11 +95,13 @@ let multi_trace_events planes =
       ("displayTimeUnit", Json.Str "ns");
     ]
 
-let to_string ?process ?sim tracer =
-  Json.to_string (trace_events ?process ?sim tracer)
+let trace_events ?(process = "lauberhorn-sim") tracer =
+  multi_trace_events [ (process, tracer) ]
 
-let write_file ?process ?sim tracer ~file =
+let to_string ?process tracer = Json.to_string (trace_events ?process tracer)
+
+let write_file ?process tracer ~file =
   let oc = open_out file in
-  output_string oc (to_string ?process ?sim tracer);
+  output_string oc (to_string ?process tracer);
   output_char oc '\n';
   close_out oc

@@ -27,10 +27,6 @@ val install : t -> Sim.Shard_engine.t -> unit
 
 val shards : t -> int
 
-val utilization_pct : t -> int -> int
-(** Percent of the shard's windows with at least one event; the
-    complement is its barrier-wait occupancy. *)
-
 val report_lines : t -> string list
 (** One deterministic line per shard, in shard order: window/idle
     counts, utilization, events-per-window and outbox-depth summary

@@ -39,7 +39,6 @@ let create () =
   }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let track t name =

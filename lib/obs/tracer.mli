@@ -12,16 +12,14 @@
     recorder-measured end-system latency — the invariant experiment
     E14 checks.
 
-    Disabled (the default), every emission is a single load-and-branch
-    — the same discipline as {!Sim.Trace}'s unforced thunks, cheap
-    enough to leave compiled into every hot path. *)
+    Disabled (the default), every emission is a single load-and-branch,
+    cheap enough to leave compiled into every hot path. *)
 
 type t
 
 val create : unit -> t
 
 val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 
 val track : t -> string -> int

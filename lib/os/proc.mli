@@ -19,7 +19,7 @@ type process = {
       (** Cleared by {!Kernel.kill}; restored by {!Kernel.respawn}. *)
   mutable members : thread list;
       (** Every thread ever spawned into the process, newest first
-          (exited ones included — see {!live_members}). *)
+          (exited ones included). *)
 }
 
 and thread = {
@@ -44,14 +44,8 @@ val make_thread :
   tid:int -> name:string -> proc:process -> ?affinity:int ->
   ?kernel_thread:bool -> unit -> thread
 
-val live_members : process -> thread list
-(** The process's threads that have not exited. *)
-
-val is_runnable : thread -> bool
-
 val is_exited : thread -> bool
 (** The thread's state is [Exited] (typed stand-in for a polymorphic
     state compare). *)
 
 val state_name : thread_state -> string
-val pp_thread : Format.formatter -> thread -> unit

@@ -33,5 +33,4 @@ let recv t th k =
     (Kernel.costs t.kern).Kernel.syscall try_take
 
 let depth t = Queue.length t.q
-let waiters t = Queue.length t.waiting
 let enqueued t = t.total

@@ -19,9 +19,6 @@ val decode : Schema.t -> bytes -> (Value.t, error) result
 (** Decode a complete buffer; trailing bytes are an error. Total:
     malformed input is an [Error], never an exception. *)
 
-val decode_partial : Schema.t -> Net.Buf.reader -> (Value.t, error) result
-(** Decode one value, leaving the reader after it. *)
-
 val pp_error : Format.formatter -> error -> unit
 
 (**/**)

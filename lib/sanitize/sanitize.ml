@@ -186,12 +186,6 @@ module Coherence_watch = struct
                        %d after %d)"
                       line new_gen prev)
                else Hashtbl.replace gens line new_gen)))
-
-  let check_directory z d =
-    tick z;
-    match Coherence.Directory.check_invariants d with
-    | Ok () -> ()
-    | Error e -> report z ~checker:"directory" e
 end
 
 module Mirror_watch = struct

@@ -75,11 +75,10 @@ module Pool_watch : sig
 
   val assert_live : watch -> Net.Slice.t -> unit
   (** Report a use-after-release if the slice reads as entirely
-      poison (length ≥ {!poison_min_len}); callers invoke this before
+      poison (length ≥ 8); callers invoke this before
       trusting a view whose backing buffer may have been recycled. *)
 
   val poison_byte : char
-  val poison_min_len : int
 end
 
 (** {1 Event-loop sanitizer}
@@ -94,16 +93,10 @@ end
 (** {1 Coherence sanitizer}
 
     Home-agent generation discipline — generations only grow, and no
-    fill is delivered across a {!Coherence.Home_agent.reset_line} —
-    plus directory representation invariants on demand. *)
+    fill is delivered across a {!Coherence.Home_agent.reset_line}. *)
 
 module Coherence_watch : sig
   val attach : t -> Coherence.Home_agent.t -> unit
-
-  val check_directory : t -> Coherence.Directory.t -> unit
-  (** Run {!Coherence.Directory.check_invariants} (at most one
-      exclusive owner per line is structural; sharer lists must be
-      sorted, duplicate-free and non-empty) and report any failure. *)
 end
 
 (** {1 Scheduler-mirror sanitizer}

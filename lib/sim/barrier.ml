@@ -30,7 +30,6 @@ let[@nondet_ok] create parties =
     sense = false;
   }
 
-let parties t = t.parties
 
 (* Arrive and block until all [parties] have arrived. The last arrival
    flips the sense and wakes the rest. Runs between windows, never

@@ -13,8 +13,6 @@ val create : int -> t
 
     @raise Invalid_argument if the count is not positive. *)
 
-val parties : t -> int
-
 val await : t -> unit
 (** Arrive at the barrier and block until every party has arrived.
     Every party must call {!await} the same number of times. *)

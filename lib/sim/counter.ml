@@ -2,7 +2,6 @@ type t = { cname : string; mutable v : int }
 type group = { label : string; tbl : (string, t) Hashtbl.t }
 
 let group label = { label; tbl = Hashtbl.create 16 }
-let group_label g = g.label
 
 let counter g name =
   match Hashtbl.find_opt g.tbl name with

@@ -10,8 +10,6 @@ type t
 val group : string -> group
 (** A fresh, empty group with the given label. *)
 
-val group_label : group -> string
-
 val counter : group -> string -> t
 (** Find-or-create the counter [name] inside the group. *)
 

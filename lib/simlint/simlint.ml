@@ -19,17 +19,6 @@ type rules = {
   steer_seam : bool;
 }
 
-let all_rules =
-  {
-    nondet = true;
-    poly_compare = true;
-    hot_path = true;
-    pool = true;
-    obs_gating = true;
-    fault_seam = true;
-    steer_seam = true;
-  }
-
 (* Path classification is purely textual so the linter behaves the same
    from the repo root, from a dune sandbox, and on test fixtures. *)
 let has_segment path seg =

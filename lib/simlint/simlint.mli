@@ -78,21 +78,13 @@ type rules = {
   steer_seam : bool;
 }
 
-val all_rules : rules
-
-val rules_for_path : string -> rules
-(** The rule set the project applies to a source file at this path
-    (see module doc). [.mli] files and paths outside [lib/] get only
-    the hot-path and pool rules. *)
-
 val check_source : ?rules:rules -> path:string -> string -> finding list
 (** Lint one compilation unit given as a string. [rules] defaults to
-    [rules_for_path path]. Findings come back in source order.
+    the rule set the project applies to a source file at [path] (see
+    module doc): [.mli] files and paths outside [lib/] get only the
+    hot-path and pool rules. Findings come back in source order.
     @raise Syntaxerr.Error (or other parser exceptions) on unparsable
     input. *)
-
-val check_file : ?rules:rules -> string -> finding list
-(** [check_source] over the file's contents. *)
 
 val run : string list -> finding list
 (** Walk the given files/directories (recursively, [*.ml] only),

@@ -9,12 +9,6 @@ val open_loop :
 (** Poisson arrivals at the given mean rate from now until [until].
     The callback receives the arrival's sequence number. *)
 
-val open_loop_trace :
-  Sim.Engine.t -> Sim.Rng.t -> interarrival:Dist.t ->
-  until:Sim.Units.time -> (seq:int -> unit) -> unit
-(** General renewal process with the given inter-arrival distribution
-    (values in nanoseconds). *)
-
 val step_rates :
   Sim.Engine.t -> Sim.Rng.t ->
   steps:(Sim.Units.duration * float) list -> (seq:int -> unit) -> unit

@@ -11,9 +11,6 @@ val small_rpc_sizes : Dist.t
     and a 2% tail reaching 16–64 KiB (which exercises the DMA
     fallback). *)
 
-val tiny_rpc_sizes : Dist.t
-(** Fixed 64-byte payloads (the paper's Figure 2 message size). *)
-
 val sample_args : Sim.Rng.t -> schema:Rpc.Schema.t -> size:Dist.t ->
   Rpc.Value.t
 (** A conforming argument value whose encoded size tracks a draw from

@@ -1,8 +1,11 @@
 #!/bin/sh
-# One-command gate: build everything, run the full test suite, prove
-# the fault-injection sweep is deterministic, then run the benchmark
-# harness (which rewrites BENCH_1.json from the micro rows).
-# Run from the repository root.
+# One-command gate: build everything, lint, run the full test suite and
+# every determinism gate (double runs, sanitized and sharded re-runs,
+# the committed test/baseline snapshots), then run the benchmark
+# harness. The harness writes BENCH_1.json and E14's exports (under
+# artifacts/) relative to its working directory, so it runs in a
+# temporary one: the gate leaves no tracked file modified. Can be
+# started from any directory.
 set -eu
 cd "$(dirname "$0")/.."
 dune build
@@ -133,7 +136,14 @@ diff "$a" "$b"
 # "off means off" claim.
 for f in test/baseline/*.txt; do
   sec=$(basename "$f" .txt)
-  dune exec bin/figures.exe -- "$sec" > "$a" 2>/dev/null
+  E14_OUT_DIR="$ea" E18_OUT_DIR="$ea" \
+    dune exec bin/figures.exe -- "$sec" > "$a" 2>/dev/null
   diff "$f" "$a"
 done
-dune exec bench/main.exe
+# The benchmark harness, every section including micro, run from a
+# temporary directory so its BENCH_1.json and E14 artefacts land there.
+dune build bench/main.exe
+bd=$(mktemp -d)
+trap 'rm -f "$a" "$b"; rm -rf "$da" "$db" "$ea" "$eb" "$bd"' EXIT
+repo=$(pwd)
+(cd "$bd" && "$repo/_build/default/bench/main.exe")

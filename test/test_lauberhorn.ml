@@ -463,11 +463,11 @@ type stack_env = {
 }
 
 let make_stack ?(cfg = Lauberhorn.Config.enzian) ?(ncores = 4) ?mirror_mode
-    ~services () =
+    ?fault ~services () =
   let sengine = Sim.Engine.create () in
   let recorder = Harness.Recorder.create sengine in
   let stack =
-    Lauberhorn.Stack.create sengine ~cfg ~ncores ?mirror_mode ~services
+    Lauberhorn.Stack.create sengine ~cfg ~ncores ?mirror_mode ?fault ~services
       ~egress:(Harness.Recorder.egress recorder)
       ()
   in
@@ -943,34 +943,6 @@ let test_stack_telemetry () =
   checkb "nic view close to client view" true
     (abs (client_p50 - nic_p50) < Sim.Units.us 1)
 
-let test_stack_tracing () =
-  let env = make_stack ~services:[ echo_spec ~port:7000 ~id:1 () ] () in
-  let trace = Sim.Trace.create () in
-  Sim.Trace.enable trace;
-  Lauberhorn.Stack.attach_trace env.stack trace;
-  ignore
-    (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
-       (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:9L
-           ~service_id:1 ~method_id:0 ~port:7000
-           (Rpc.Value.Blob (Bytes.make 24 'z'))));
-  Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
-  let cats = List.map (fun (_, c, _) -> c) (Sim.Trace.entries trace) in
-  let has c = List.mem c cats in
-  checkb "rx traced" true (has "rx");
-  checkb "dispatch traced" true (has "dispatch");
-  checkb "tx traced" true (has "tx");
-  (* Events are time-ordered: rx before tx. *)
-  let idx c =
-    let rec go i = function
-      | [] -> -1
-      | x :: rest -> if x = c then i else go (i + 1) rest
-    in
-    go 0 cats
-  in
-  checkb "rx before dispatch before tx" true
-    (idx "rx" < idx "dispatch" && idx "dispatch" < idx "tx")
-
 let test_stack_tryagain_idle_traffic () =
   (* An idle stack parks its workers; with a 1 ms timeout and a 50 ms
      run, each parked line sees ~50 TRYAGAIN fills, not thousands:
@@ -1016,6 +988,44 @@ let test_stack_kill_restart_lifecycle () =
   checki "kill counted" 1 (mv "kills");
   checki "respawn counted" 1 (mv "respawns");
   checki "dead-window arrival refused" 1 (mv "crash_nacks")
+
+(* A request a worker still holds when its process dies is NACKed by
+   the teardown sweep and counted once as [stale_dispatch_caught],
+   whether or not a fault plan is armed. *)
+let test_stack_stale_counted_once () =
+  let slow =
+    Rpc.Interface.service ~id:1 ~name:"slow"
+      [
+        Rpc.Interface.method_def ~id:0 ~name:"echo" ~request:Rpc.Schema.Blob
+          ~response:Rpc.Schema.Blob ~handler_time:(Sim.Units.us 50) Fun.id;
+      ]
+  in
+  let stale fault =
+    let env =
+      make_stack ~fault ~services:[ Lauberhorn.Stack.spec ~port:7000 slow ] ()
+    in
+    ignore
+      (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
+         (fun () ->
+           Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+             ~service_id:1 ~method_id:0 ~port:7000
+             (Rpc.Value.Blob (Bytes.of_string "x"))));
+    ignore
+      (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 30)
+         (fun () -> Lauberhorn.Stack.kill_service env.stack ~service_id:1));
+    Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
+    checki "the held request is answered on the wire" 1
+      (Harness.Recorder.completed env.recorder);
+    Obs.Metrics.counter_value
+      (Lauberhorn.Stack.metrics env.stack)
+      "stale_dispatch_caught"
+  in
+  checki "no plan: one stale dispatch" 1 (stale Fault.Plan.none);
+  checki "armed plan: still one" 1
+    (stale
+       (Fault.Plan.make ~seed:1
+          ~wire:(Fault.Plan.link ~drop:0.0001 ())
+          ()))
 
 (* Workers decode every CONTROL line they load and the NIC every
    response line it collects, so both decoders must be total: any bytes
@@ -1153,12 +1163,13 @@ let () =
             test_tx_endpoint_backpressure;
           Alcotest.test_case "nested uses tx lines" `Quick
             test_stack_nested_uses_tx_lines;
-          Alcotest.test_case "tracing (section 6)" `Quick test_stack_tracing;
           Alcotest.test_case "cross-machine nested rpc" `Quick
             test_stack_cross_machine_nested;
           Alcotest.test_case "idle tryagain bounded" `Quick
             test_stack_tryagain_idle_traffic;
           Alcotest.test_case "kill/restart lifecycle" `Quick
             test_stack_kill_restart_lifecycle;
+          Alcotest.test_case "stale dispatch counted once" `Quick
+            test_stack_stale_counted_once;
         ] );
     ]

@@ -243,6 +243,59 @@ let test_pcap_rejects_truncation () =
   Bytes.set_int32_le whole 0 0l;
   checkb "bad magic rejected" true (Result.is_error (Obs.Pcap.records whole))
 
+(* E14 re-reads its captures with [Obs.Pcap.records], so the reader
+   must be total: any bytes give [Ok] or [Error], and every record of
+   an [Ok] re-parses (to [Ok] or [Error]) without raising. Each case
+   checks arbitrary bytes (0-300 B), the same bytes behind a valid
+   global header, and a truncation and a byte-flipped copy of a valid
+   capture. *)
+let prop_pcap_records_total =
+  QCheck.Test.make ~count:500 ~name:"pcap records never raises"
+    QCheck.(
+      triple
+        (string_of_size Gen.(0 -- 300))
+        (pair (small_list (int_bound 200)) (int_bound 100_000))
+        (small_list (pair (int_bound 100_000) (int_bound 255))))
+    (fun (junk, (sizes, cut), flips) ->
+      let pcap = Obs.Pcap.create () in
+      let src = endpoint 1 2 3 and dst = endpoint 4 5 6 in
+      List.iteri
+        (fun i size ->
+          Obs.Pcap.add_frame pcap ~time:(i * 1_000)
+            (Net.Frame.make ~src ~dst (Bytes.make size 'p')))
+        sizes;
+      let valid = Obs.Pcap.to_bytes pcap in
+      let n = Bytes.length valid in
+      let flipped = Bytes.copy valid in
+      List.iter
+        (fun (pos, x) ->
+          let i = pos mod n in
+          Bytes.set flipped i
+            (Char.chr (Char.code (Bytes.get flipped i) lxor (x lor 1))))
+        flips;
+      let behind_header =
+        Bytes.cat (Bytes.sub valid 0 24) (Bytes.of_string junk)
+      in
+      List.for_all
+        (fun b ->
+          match Obs.Pcap.records b with
+          | Error _ -> true
+          | Ok recs ->
+              List.for_all
+                (fun (_, slice) ->
+                  match Net.Frame.parse_slice slice with
+                  | Ok _ | Error _ -> true)
+                recs
+          | exception e ->
+              QCheck.Test.fail_reportf "records %S raised %s"
+                (Bytes.to_string b) (Printexc.to_string e))
+        [
+          Bytes.of_string junk;
+          behind_header;
+          Bytes.sub valid 0 (cut mod (n + 1));
+          flipped;
+        ])
+
 (* --- metrics ------------------------------------------------------- *)
 
 let test_metrics_registry () =
@@ -464,32 +517,13 @@ let test_multi_export () =
         (pids = [ Obs.Json.Int 1; Obs.Json.Int 2; Obs.Json.Int 3 ])
   | _ -> Alcotest.fail "export has no traceEvents array"
 
-(* --- sim trace sequence numbers ------------------------------------ *)
-
-let test_sim_trace_seq () =
-  let tr = Sim.Trace.create ~capacity:8 () in
-  Sim.Trace.enable tr;
-  for i = 1 to 20 do
-    Sim.Trace.emit tr ~time:i ~cat:"t" (fun () -> string_of_int i)
-  done;
-  checki "emitted counts past wrap" 20 (Sim.Trace.emitted tr);
-  let entries = Sim.Trace.entries_seq tr in
-  checki "ring keeps the most recent" 8 (List.length entries);
-  let seqs = List.map (fun (s, _, _, _) -> s) entries in
-  checkb "seqs are the last emissions, in order" true
-    (seqs = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  Sim.Trace.clear tr;
-  checki "clear resets the emission count" 0 (Sim.Trace.emitted tr)
-
 (* --- the attribution invariant on real stacks ---------------------- *)
 
 (* E14's core claim as a test: on every flavour, with tracing enabled,
    each completed RPC's stage durations sum EXACTLY to the recorder's
    end-system latency, and both exporters roundtrip. *)
 let test_attribution flavour () =
-  let server, pcap, _sim_trace, completions =
-    Experiments.Trace.traced_ping_pong flavour
-  in
+  let server, pcap, completions = Experiments.Trace.traced_ping_pong flavour in
   let tracer = server.Experiments.Common.tracer in
   checki "all RPCs completed" Experiments.Trace.rtts
     (List.length completions);
@@ -545,7 +579,7 @@ let () =
       ( "pcap",
         Alcotest.test_case "rejects truncation and bad magic" `Quick
           test_pcap_rejects_truncation
-        :: qsuite [ prop_pcap_roundtrip ] );
+        :: qsuite [ prop_pcap_roundtrip; prop_pcap_records_total ] );
       ( "metrics",
         [
           Alcotest.test_case "registry semantics" `Quick test_metrics_registry;
@@ -561,9 +595,6 @@ let () =
             test_skip_to_stitching;
           Alcotest.test_case "multi-plane export" `Quick test_multi_export;
         ] );
-      ( "sim-trace",
-        [ Alcotest.test_case "seq survives ring wrap" `Quick test_sim_trace_seq ]
-      );
       ( "attribution",
         [
           Alcotest.test_case "lauberhorn stages sum exactly" `Quick

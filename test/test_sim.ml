@@ -1,5 +1,5 @@
 (* Tests for the simulation core: time units, event heap, engine, RNG,
-   histogram, counters, trace. *)
+   histogram, counters. *)
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
@@ -542,21 +542,6 @@ let test_counter_group () =
   Sim.Counter.reset_group g;
   checki "reset" 0 (Sim.Counter.value a)
 
-let test_trace_ring () =
-  let t = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.emit t ~time:1 ~cat:"x" (fun () -> "dropped when disabled");
-  checki "disabled: empty" 0 (List.length (Sim.Trace.entries t));
-  Sim.Trace.enable t;
-  List.iter
-    (fun i -> Sim.Trace.emit t ~time:i ~cat:"c" (fun () -> string_of_int i))
-    [ 1; 2; 3; 4; 5 ];
-  let entries = Sim.Trace.entries t in
-  checki "capacity bound" 3 (List.length entries);
-  check Alcotest.string "oldest retained" "3"
-    (match entries with (_, _, m) :: _ -> m | [] -> "none");
-  Sim.Trace.clear t;
-  checki "cleared" 0 (List.length (Sim.Trace.entries t))
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -638,6 +623,5 @@ let () =
       ( "counter_trace",
         [
           Alcotest.test_case "counter group" `Quick test_counter_group;
-          Alcotest.test_case "trace ring" `Quick test_trace_ring;
         ] );
     ]
